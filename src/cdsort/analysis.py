@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from . import graph as graphmod
 from . import ops
-from .graph import OrientedGraph, build_overlap_graph, gcdr, has_unoriented_component
+from .graph import build_overlap_graph, has_unoriented_component
 from .perm import (
     Entries,
     SignedPermutation,
@@ -492,15 +492,14 @@ def classify_sequence(p, seq: Sequence[int]) -> str:
     pointer not oriented at its turn), else "total" / "maximal" / "oriented"
     by the end state."""
     g = build_overlap_graph(p)
-    for v in seq:
-        if v not in g.oriented:
-            return "invalid"
-        g = gcdr(g, v)
-    if graphmod.is_total_terminal(g):
-        return "total"
-    if graphmod.is_terminal(g):
-        return "maximal"
-    return "oriented"
+    ranks = graphmod.ranks_of(g, seq)
+    end = None if ranks is None else graphmod.play_ranks(*graphmod.masks(g), ranks)
+    if end is None:
+        return "invalid"
+    rows, ori = end
+    if ori:
+        return "oriented"
+    return "maximal" if any(rows) else "total"
 
 
 def greedy_safe_total_sequence(p) -> tuple[int, ...]:
@@ -510,19 +509,17 @@ def greedy_safe_total_sequence(p) -> tuple[int, ...]:
     g = build_overlap_graph(p)
     if has_unoriented_component(g):
         raise ValueError("overlap graph has an unoriented component; no total sequence exists")
-    seq = []
-    while g.oriented:
-        for v in sorted(g.oriented):
-            nxt = gcdr(g, v)
-            if not has_unoriented_component(nxt):
-                seq.append(v)
-                g = nxt
-                break
-        else:
+    rows, ori = graphmod.masks(g)
+    ranks = []
+    while ori:
+        step = graphmod.safe_move(rows, ori)
+        if step is None:
             raise TheoremViolationError("no safe oriented vertex found")
-    if not graphmod.is_total_terminal(g):  # pragma: no cover - safety net
+        i, rows, ori = step
+        ranks.append(i)
+    if any(rows):  # pragma: no cover - safety net
         raise TheoremViolationError("safe play ended in a non-total terminal")
-    return tuple(seq)
+    return graphmod.labels_at(g, ranks)
 
 
 def extend_to_total(p, maxseq: Sequence[int], budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
@@ -542,36 +539,36 @@ def extend_to_total(p, maxseq: Sequence[int], budget: int = DEFAULT_BUDGET) -> t
         # an unoriented component, outside this operation's remit
         raise ValueError("graph has no oriented vertex; nothing can extend the empty sequence")
     g0 = build_overlap_graph(p)
-    prefix_graphs = [g0]
-    for v in maxseq:
-        prefix_graphs.append(gcdr(prefix_graphs[-1], v))
+    ranks = graphmod.ranks_of(g0, maxseq)
+    position = graphmod.masks(g0)
+    prefixes = [position]
+    for i in ranks:
+        position = graphmod.move(*position, i)
+        prefixes.append(position)
     tracker = _Tracker(budget)
     n_vertices = len(g0.vertices)
     m = len(maxseq)
     for k in range(1, (n_vertices - m) // 2 + 1):
         for cut_at in range(m):
-            suffix = maxseq[cut_at:]
-            inserted = _insertion_dfs(prefix_graphs[cut_at], 2 * k, suffix, tracker)
+            inserted = _insertion_dfs(*prefixes[cut_at], 2 * k, ranks[cut_at:], tracker)
             if inserted is not None:
-                return maxseq[:cut_at] + inserted + suffix
+                return maxseq[:cut_at] + graphmod.labels_at(g0, inserted) + maxseq[cut_at:]
     raise TheoremViolationError(
         f"no even insertion extends {maxseq} to a total sequence"
     )
 
 
-def _insertion_dfs(g: OrientedGraph, depth: int, suffix, tracker: _Tracker):
+def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: _Tracker):
+    """Ranks of depth oriented vertices after which the suffix ranks replay to
+    a total terminal, first in increasing order; None when there are none."""
     if depth == 0:
-        h = g
-        for v in suffix:
-            if v not in h.oriented:
-                return None
-            h = gcdr(h, v)
-        return () if graphmod.is_total_terminal(h) else None
-    for v in sorted(g.oriented):
+        end = graphmod.play_ranks(rows, ori, suffix)
+        return () if end is not None and not end[1] and not any(end[0]) else None
+    for i in graphmod.bits(ori):
         tracker.spend()
-        rest = _insertion_dfs(gcdr(g, v), depth - 1, suffix, tracker)
+        rest = _insertion_dfs(*graphmod.move(rows, ori, i), depth - 1, suffix, tracker)
         if rest is not None:
-            return (v,) + rest
+            return (i,) + rest
     return None
 
 

@@ -16,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import graph as graphmod
 from .analysis import BudgetExceededError
 from .graph import OrientedGraph, build_overlap_graph, gcdr
 
 ONE = "ONE"
 TWO = "TWO"
 RULES = ("normal", "misere")
+DEFAULT_MINIMAX_BUDGET = 1_000_000
 
 
 class IllegalMoveError(ValueError):
@@ -61,9 +63,10 @@ def play(state: GameState, v: int) -> GameState:
 
 
 def _playout_length(graph: OrientedGraph) -> int:
+    rows, ori = graphmod.masks(graph)
     length = 0
-    while graph.oriented:
-        graph = gcdr(graph, min(graph.oriented))
+    while ori:
+        rows, ori = graphmod.move(rows, ori, next(graphmod.bits(ori)))
         length += 1
     return length
 
@@ -81,32 +84,50 @@ def winner_by_parity(state: GameState) -> str:
     return state.to_move if mover_wins else _other(state.to_move)
 
 
-def winner_by_minimax(state: GameState, budget: int = 1_000_000, memo: dict | None = None) -> str:
+def winner_by_minimax(state: GameState, budget: int = DEFAULT_MINIMAX_BUDGET,
+                      memo: dict | None = None) -> str:
     """Exact winner by full game-tree traversal with memoization.  Intended
-    for small graphs; the budget caps distinct (graph, rule) positions."""
+    for small graphs; the budget caps distinct (graph, rule) positions.  A
+    memo may be shared between calls: positions are keyed by their masks,
+    and the outcome does not depend on the labels."""
     if memo is None:
         memo = {}
-    counter = [budget]
-    mover_wins = _minimax(state.graph, state.rule, memo, counter)
+    mover_wins = _minimax(*graphmod.masks(state.graph), state.rule, memo, budget)
     return state.to_move if mover_wins else _other(state.to_move)
 
 
-def _minimax(graph: OrientedGraph, rule: str, memo: dict, counter: list) -> bool:
-    key = (graph, rule)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if counter[0] <= 0:
-        raise BudgetExceededError("minimax budget exhausted")
-    counter[0] -= 1
-    if not graph.oriented:
-        res = rule == "misere"
-    else:
-        res = any(
-            not _minimax(gcdr(graph, v), rule, memo, counter)
-            for v in sorted(graph.oriented)
-        )
-    memo[key] = res
+def _minimax(rows: tuple, ori: int, rule: str, memo: dict, budget: int) -> bool:
+    """Does the player to move win?  Depth-first over positions in increasing
+    move order, stopping at the first winning move, with an explicit stack:
+    a game lasts up to one move per vertex."""
+    stack = []  # (position key, iterator over the moves not yet tried)
+
+    def enter(rows: tuple, ori: int) -> bool | None:
+        """The known outcome of a position, or None after pushing its frame."""
+        nonlocal budget
+        key = (rows, ori, rule)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if budget <= 0:
+            raise BudgetExceededError("minimax budget exhausted")
+        budget -= 1
+        if not ori:
+            memo[key] = res = rule == "misere"
+            return res
+        stack.append((key, graphmod.bits(ori)))
+        return None
+
+    res = enter(rows, ori)
+    while stack:
+        key, moves = stack[-1]
+        # a move into a lost position wins, so the first one ends the search
+        i = None if res is False else next(moves, None)
+        if i is None:
+            memo[key] = res = res is False
+            stack.pop()
+            continue
+        res = enter(*graphmod.move(key[0], key[1], i))
     return res
 
 

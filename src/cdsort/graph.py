@@ -13,17 +13,24 @@ the overlap-graph construction, leaving v unoriented and isolated.
 
 Vertices are labeled by their pointer's low value, an int; graph equality is
 label-sensitive exact equality, not isomorphism.
+
+A graph is stored as bitmasks over the ranks of its labels in sorted order:
+one adjacency row per vertex and one orientation mask.  Local
+complementation is then XOR over GF(2): toggling the edges inside S is
+``row[j] ^= S`` minus the own bit for each j in S, and flipping the flags is
+``ori ^= S``.  The analysis, game and sweep code runs its hot loops on such
+positions through the position helpers below (masks, move, play_ranks,
+safe_move), which skip validation; the layout is known only to this module.
 """
 from __future__ import annotations
 
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from . import ops
 from .ops import NotApplicableError
-from .perm import as_entries
+from .perm import Entries, as_entries
 
 
 def _label(v: int) -> str:
@@ -40,47 +47,236 @@ def _parse_label(text: str) -> int:
     return int(m.group(1))
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# positions: (rows, ori), a tuple of adjacency masks indexed by rank and an
+# orientation mask.  ori is 0 exactly when no vertex is oriented, and every
+# row is 0 exactly when no edge is left.
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Ranks of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _gcdr_masks(rows: list, ori: int, i: int) -> int:
+    """gcdr at rank i, in place on rows; returns the new orientation mask.
+    Assumes i is oriented."""
+    nb = rows[i]
+    closed = nb | (1 << i)
+    while nb:
+        low = nb & -nb
+        rows[low.bit_length() - 1] ^= closed ^ low
+        nb ^= low
+    rows[i] = 0
+    return ori ^ closed
+
+
+def _component(rows, seed: int) -> int:
+    """Mask of the component containing the vertex bit seed, by bit BFS."""
+    comp = frontier = seed
+    while frontier:
+        reach = 0
+        for j in bits(frontier):
+            reach |= rows[j]
+        frontier = reach & ~comp
+        comp |= frontier
+    return comp
+
+
+def _has_unoriented_component(rows, ori: int, seeds: int) -> bool:
+    """Does a component (size >= 2) meeting the vertex mask seeds have no
+    oriented vertex?  Stops at the first such component."""
+    while seeds:
+        low = seeds & -seeds
+        if rows[low.bit_length() - 1]:
+            comp = _component(rows, low)
+            if not comp & ori:
+                return True
+            seeds &= ~comp
+        else:
+            seeds ^= low
+    return False
+
+
+def overlap_masks(entries: Entries) -> tuple[tuple[int, ...], int]:
+    """The position of the overlap graph of entries, pointer i+1 at rank i, by
+    one left-to-right sweep over the entry flanks.  Two arcs cross when
+    exactly one endpoint of either lies inside the other, so the row of an
+    arc is the set of arcs open at its start XOR those open at its end."""
+    m = len(entries) - 1
+    rows = [0] * m
+    open_at_start = [0] * m
+    open_now = opened_on_positive = ori = 0
+    for v in entries:
+        # a positive entry carries its tail pointer (v-1, v) on the left
+        # flank and its head (v, v+1) on the right; a negative one swaps them
+        for p in ((v - 1, v) if v > 0 else (-v, -v - 1)):
+            if 0 < p <= m:
+                bit = 1 << (p - 1)
+                if open_now & bit:
+                    open_now ^= bit
+                    rows[p - 1] = open_now ^ open_at_start[p - 1]
+                    if (v > 0) != bool(opened_on_positive & bit):
+                        ori |= bit
+                else:
+                    open_at_start[p - 1] = open_now
+                    open_now |= bit
+                    if v > 0:
+                        opened_on_positive |= bit
+    return tuple(rows), ori
+
+
+def move(rows: tuple, ori: int, i: int) -> tuple[tuple[int, ...], int]:
+    """The position after gcdr at the oriented rank i.  A move at an
+    isolated vertex only flips its own flag, so that position shares rows."""
+    if not rows[i]:
+        return rows, ori ^ (1 << i)
+    moved = list(rows)
+    ori = _gcdr_masks(moved, ori, i)
+    return tuple(moved), ori
+
+
+def play_ranks(rows: tuple, ori: int, ranks: Iterable[int]) -> tuple[tuple[int, ...], int] | None:
+    """The position after gcdr at each rank in turn; None when a rank is not
+    oriented at its turn."""
+    rows = list(rows)
+    for i in ranks:
+        if not ori >> i & 1:
+            return None
+        ori = _gcdr_masks(rows, ori, i)
+    return tuple(rows), ori
+
+
+def safe_move(rows: tuple, ori: int) -> tuple[int, tuple[int, ...], int] | None:
+    """The lowest oriented rank whose gcdr leaves no unoriented component,
+    with the position it leads to; None when there is none.  Assumes the
+    position has no unoriented component."""
+    for i in bits(ori):
+        moved = list(rows)
+        moved_ori = _gcdr_masks(moved, ori, i)
+        # gcdr only rewires the component of i, so with no unoriented
+        # component before the move only the old neighbours need a look
+        if not _has_unoriented_component(moved, moved_ori, rows[i]):
+            return i, tuple(moved), moved_ori
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the graph value
+
+
 class OrientedGraph:
     """A finite graph with a per-vertex oriented/unoriented flag.
 
     Immutable and hashable, so graphs serve directly as memo keys in the game
-    solver and the search code.
+    solver and the search code.  ``vertices``, ``edges`` and ``oriented`` are
+    frozenset views of the masks, built on first use and cached; edges are
+    (u, v) pairs with u < v.
     """
 
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    oriented: frozenset[int]
+    __slots__ = ("_labels", "_index", "_rows", "_ori", "_hash", "_vertices", "_edges",
+                 "_oriented")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        norm = set()
-        for u, v in self.edges:
+    def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]],
+                 oriented: Iterable[int]):
+        labels = tuple(sorted(frozenset(vertices)))
+        index = {v: i for i, v in enumerate(labels)}
+        rows = [0] * len(labels)
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if u not in self.vertices or v not in self.vertices:
+            iu, iv = index.get(u), index.get(v)
+            if iu is None or iv is None:
                 raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
-            norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "oriented", frozenset(self.oriented))
-        if not self.oriented <= self.vertices:
-            raise ValueError("oriented flags on unknown vertices")
+            rows[iu] |= 1 << iv
+            rows[iv] |= 1 << iu
+        ori = 0
+        for v in oriented:
+            i = index.get(v)
+            if i is None:
+                raise ValueError("oriented flags on unknown vertices")
+            ori |= 1 << i
+        self._set(labels, index, tuple(rows), ori)
+
+    def _set(self, labels: tuple, index: dict, rows: tuple, ori: int) -> None:
+        self._labels = labels
+        self._index = index
+        self._rows = rows
+        self._ori = ori
+        self._hash = self._vertices = self._edges = self._oriented = None
+
+    @classmethod
+    def _from_masks(cls, labels: tuple, index: dict, rows: tuple, ori: int) -> "OrientedGraph":
+        """Internal construction from masks that are already consistent."""
+        g = cls.__new__(cls)
+        g._set(labels, index, rows, ori)
+        return g
+
+    def _derive(self, rows: list, ori: int) -> "OrientedGraph":
+        """A graph on the same labels with new masks."""
+        return OrientedGraph._from_masks(self._labels, self._index, tuple(rows), ori)
+
+    def _labels_of(self, mask: int) -> list[int]:
+        labels = self._labels
+        return [labels[i] for i in bits(mask)]
+
+    def _edge_list(self) -> list[tuple[int, int]]:
+        """Edges (u, v) with u < v, in increasing order."""
+        return [(u, v) for i, (u, row) in enumerate(zip(self._labels, self._rows))
+                for v in self._labels_of(row >> (i + 1) << (i + 1))]
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        if self._vertices is None:
+            self._vertices = frozenset(self._labels)
+        return self._vertices
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            self._edges = frozenset(self._edge_list())
+        return self._edges
+
+    @property
+    def oriented(self) -> frozenset[int]:
+        if self._oriented is None:
+            self._oriented = frozenset(self._labels_of(self._ori))
+        return self._oriented
+
+    def __eq__(self, other):
+        if not isinstance(other, OrientedGraph):
+            return NotImplemented
+        return (self._ori == other._ori and self._rows == other._rows
+                and self._labels == other._labels)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._labels, self._rows, self._ori))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (f"OrientedGraph(vertices={self.vertices!r}, edges={self.edges!r}, "
+                f"oriented={self.oriented!r})")
 
     def is_oriented(self, v: int) -> bool:
-        return v in self.oriented
+        i = self._index.get(v)
+        return i is not None and bool(self._ori >> i & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(u if w == v else w for u, w in self.edges if v in (u, w))
+        i = self._index.get(v)
+        return frozenset() if i is None else frozenset(self._labels_of(self._rows[i]))
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         return self.neighbors(v) | {v}
 
     def oriented_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.oriented))
+        return tuple(self._labels_of(self._ori))
 
     def isolated_vertices(self) -> tuple[int, ...]:
-        touched = {u for e in self.edges for u in e}
-        return tuple(sorted(self.vertices - touched))
+        return tuple(v for v, row in zip(self._labels, self._rows) if not row)
 
 
 def build_overlap_graph(p) -> OrientedGraph:
@@ -90,53 +286,73 @@ def build_overlap_graph(p) -> OrientedGraph:
     >>> sorted(g.oriented)
     [1, 3, 4, 5]
     """
-    entries = as_entries(p)
-    arcs = ops._arcs(entries)
-    m = len(arcs)
-    edges = set()
-    for pi in range(m):
-        k1, k2 = arcs[pi][0], arcs[pi][1]
-        for qi in range(pi + 1, m):
-            l1, l2 = arcs[qi][0], arcs[qi][1]
-            if ops._interleave(k1, k2, l1, l2):
-                edges.add((pi + 1, qi + 1))
-    oriented = frozenset(i + 1 for i in range(m) if not arcs[i][4])
-    return OrientedGraph(frozenset(range(1, m + 1)), frozenset(edges), oriented)
+    rows, ori = overlap_masks(as_entries(p))
+    labels = tuple(range(1, len(rows) + 1))
+    return OrientedGraph._from_masks(labels, {v: v - 1 for v in labels}, rows, ori)
+
+
+def masks(g: OrientedGraph) -> tuple[tuple[int, ...], int]:
+    """The position (rows, ori) of g; labels_at maps its ranks back to
+    vertices."""
+    return g._rows, g._ori
+
+
+def labels_at(g: OrientedGraph, ranks: Iterable[int]) -> tuple[int, ...]:
+    """The vertices of g at the given ranks."""
+    labels = g._labels
+    return tuple(labels[i] for i in ranks)
+
+
+def ranks_of(g: OrientedGraph, vertices: Iterable[int]) -> tuple[int, ...] | None:
+    """The ranks of the given vertices of g; None when one is not a vertex."""
+    index = g._index
+    ranks = tuple(index.get(v) for v in vertices)
+    return None if None in ranks else ranks
 
 
 def local_complement(g: OrientedGraph, s: Iterable[int]) -> OrientedGraph:
     """Complement the edges inside s and flip orientation flags on s.
     Vertices of s outside the graph are ignored, so a disjoint s is a no-op.
     An involution for fixed s."""
-    s = frozenset(s) & g.vertices
-    inside = sorted(s)
-    new_edges = {e for e in g.edges if not (e[0] in s and e[1] in s)}
-    for a in range(len(inside)):
-        for b in range(a + 1, len(inside)):
-            e = (inside[a], inside[b])
-            if e not in g.edges:
-                new_edges.add(e)
-    return OrientedGraph(g.vertices, frozenset(new_edges), g.oriented ^ s)
+    index = g._index
+    mask = 0
+    for v in frozenset(s):
+        i = index.get(v)
+        if i is not None:
+            mask |= 1 << i
+    rows = list(g._rows)
+    for j in bits(mask):
+        rows[j] ^= mask ^ (1 << j)
+    return g._derive(rows, g._ori ^ mask)
+
+
+def _oriented_rank(g: OrientedGraph, v: int) -> int | None:
+    """Rank of v when it is oriented, None when it is not; ValueError when v
+    is not a vertex."""
+    i = g._index.get(v)
+    if i is None:
+        raise ValueError(f"vertex {v} not in graph")
+    return i if g._ori >> i & 1 else None
 
 
 def gcdr(g: OrientedGraph, v: int) -> OrientedGraph:
     """Local complementation at the closed neighborhood of the oriented vertex
     v.  Afterwards v is unoriented and isolated.  Raises NotApplicableError on
     an unoriented v; see try_gcdr for the lenient form."""
-    if v not in g.vertices:
-        raise ValueError(f"vertex {v} not in graph")
-    if v not in g.oriented:
+    i = _oriented_rank(g, v)
+    if i is None:
         raise NotApplicableError(f"gcdr at {v}: vertex is not oriented")
-    return local_complement(g, g.closed_neighborhood(v))
+    rows = list(g._rows)
+    return g._derive(rows, _gcdr_masks(rows, g._ori, i))
 
 
 def try_gcdr(g: OrientedGraph, v: int) -> tuple[OrientedGraph, bool]:
     """Lenient gcdr: unoriented vertices leave the graph unchanged."""
-    if v not in g.vertices:
-        raise ValueError(f"vertex {v} not in graph")
-    if v not in g.oriented:
+    i = _oriented_rank(g, v)
+    if i is None:
         return g, False
-    return local_complement(g, g.closed_neighborhood(v)), True
+    rows = list(g._rows)
+    return g._derive(rows, _gcdr_masks(rows, g._ori, i)), True
 
 
 def apply_gcdr_sequence(g: OrientedGraph, seq: Iterable[int]) -> OrientedGraph:
@@ -149,7 +365,7 @@ def apply_gcdr_sequence(g: OrientedGraph, seq: Iterable[int]) -> OrientedGraph:
 def is_oriented_sequence(g: OrientedGraph, seq: Iterable[int]) -> bool:
     """True when each vertex of seq is oriented at its turn."""
     for v in seq:
-        if v not in g.oriented:
+        if not g.is_oriented(v):
             return False
         g = gcdr(g, v)
     return True
@@ -172,47 +388,37 @@ class ComponentReport:
 
 
 def component_report(g: OrientedGraph) -> ComponentReport:
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set[int] = set()
+    rows, ori, labels = g._rows, g._ori, g._labels
     components = []
     isolated = []
-    for v in sorted(g.vertices):
-        if v in seen:
+    todo = (1 << len(rows)) - 1
+    while todo:  # lowest rank first, so components come in order of their least vertex
+        low = todo & -todo
+        i = low.bit_length() - 1
+        if not rows[i]:
+            isolated.append((labels[i], bool(ori & low)))
+            todo ^= low
             continue
-        if not adj[v]:
-            isolated.append((v, v in g.oriented))
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        components.append(Component(frozenset(comp), bool(comp & g.oriented)))
-    components.sort(key=lambda c: min(c.vertices))
+        comp = _component(rows, low)
+        components.append(Component(frozenset(g._labels_of(comp)), bool(comp & ori)))
+        todo &= ~comp
     return ComponentReport(tuple(components), tuple(isolated))
 
 
 def has_unoriented_component(g: OrientedGraph) -> bool:
     """A component (size >= 2) with no oriented vertex exists.  Isolated
     unoriented vertices do not count."""
-    return any(not c.oriented for c in component_report(g).components)
+    return _has_unoriented_component(g._rows, g._ori, (1 << len(g._rows)) - 1)
 
 
 def is_terminal(g: OrientedGraph) -> bool:
     """No oriented vertex remains (the end state of a maximal sequence)."""
-    return not g.oriented
+    return not g._ori
 
 
 def is_total_terminal(g: OrientedGraph) -> bool:
     """Only isolated, unoriented vertices remain."""
-    return not g.oriented and not g.edges
+    return not g._ori and not any(g._rows)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +428,12 @@ def is_total_terminal(g: OrientedGraph) -> bool:
 def to_text(g: OrientedGraph) -> str:
     """Line-oriented form: one vertex line then one edge line per element,
     deterministically ordered.  Parsed back by graph_from_text."""
+    ori = g._ori
     lines = [
-        f"vertex {_label(v)} {'oriented' if v in g.oriented else 'unoriented'}"
-        for v in sorted(g.vertices)
+        f"vertex {_label(v)} {'oriented' if ori >> i & 1 else 'unoriented'}"
+        for i, v in enumerate(g._labels)
     ]
-    lines += [f"edge {_label(u)} {_label(v)}" for u, v in sorted(g.edges)]
+    lines += [f"edge {_label(u)} {_label(v)}" for u, v in g._edge_list()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -255,10 +462,11 @@ def graph_from_text(text: str) -> OrientedGraph:
 def to_dot(g: OrientedGraph) -> str:
     """Graphviz form; oriented vertices get style=filled."""
     lines = ["graph overlap {", "  node [shape=circle];"]
-    for v in sorted(g.vertices):
-        attr = " [style=filled]" if v in g.oriented else ""
+    ori = g._ori
+    for i, v in enumerate(g._labels):
+        attr = " [style=filled]" if ori >> i & 1 else ""
         lines.append(f'  "{_label(v)}"{attr};')
-    for u, v in sorted(g.edges):
+    for u, v in g._edge_list():
         lines.append(f'  "{_label(u)}" -- "{_label(v)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

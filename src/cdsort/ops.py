@@ -80,7 +80,10 @@ def _apply_cdr(entries: Entries, i: int) -> Entries:
     cut_head = lo_idx + 1 if lo_pos else lo_idx
     cut_tail = hi_idx if hi_pos else hi_idx + 1
     g1, g2 = (cut_head, cut_tail) if cut_head < cut_tail else (cut_tail, cut_head)
-    return entries[:g1] + tuple(-v for v in reversed(entries[g1:g2])) + entries[g2:]
+    # a list, not a generator: tuple() of a generator is allocated at length
+    # 10 and resized, so it is freed onto another length's free list, and over
+    # long runs those lists fill up and raise the peak RSS
+    return entries[:g1] + tuple([-v for v in reversed(entries[g1:g2])]) + entries[g2:]
 
 
 def _arcs(entries: Sequence[int]) -> list[tuple[int, int, int, int, bool]]:

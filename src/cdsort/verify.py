@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import analysis, ops
+from . import graph as graphmod
 from .analysis import _Tracker
-from .graph import build_overlap_graph, gcdr, is_total_terminal, random_oriented_graph
+from .graph import random_oriented_graph
 from .perm import (
     Entries,
     all_signed_permutations,
@@ -161,11 +162,11 @@ def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, 
 
 
 def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    g = build_overlap_graph(entries)
+    rows, ori = graphmod.overlap_masks(entries)
     moves = ops._cdr_moves(entries)
     bad = 0
-    for i in moves:
-        if build_overlap_graph(ops._apply_cdr(entries, i)) != gcdr(g, i):
+    for i in moves:  # pointer i sits at rank i - 1
+        if graphmod.overlap_masks(ops._apply_cdr(entries, i)) != graphmod.move(rows, ori, i - 1):
             bad += 1
     return bad == 0, f"pointers={len(moves)} violations={bad}"
 
@@ -221,23 +222,40 @@ def probe_total_sequence_lengths(num_graphs: int, max_vertices: int, seed: int,
     hits = []
     for _ in range(num_graphs):
         g = random_oriented_graph(rng, rng.randint(1, max_vertices))
-        lengths = _total_lengths(g, {}, tracker)
+        lengths = _total_lengths(*graphmod.masks(g), tracker)
         if len(lengths) > 1:
             hits.append(f"total lengths {sorted(lengths)} on {g}")
     return hits
 
 
-def _total_lengths(g, memo: dict, tracker: _Tracker) -> frozenset[int]:
-    res = memo.get(g)
-    if res is not None:
+def _total_lengths(rows: tuple, ori: int, tracker: _Tracker) -> frozenset[int]:
+    """Lengths of all total sequences from a position: a memoized post-order
+    fold over the positions it reaches, with an explicit stack (a sequence is
+    as long as the graph has vertices)."""
+    memo: dict = {}
+    stack = []  # (position, iterator over the moves not yet tried, lengths so far)
+
+    def enter(rows: tuple, ori: int) -> frozenset[int] | None:
+        """The lengths from a position, or None after pushing its frame."""
+        key = (rows, ori)
+        res = memo.get(key)
+        if res is None:
+            tracker.spend()
+            if ori:
+                stack.append((key, graphmod.bits(ori), set()))
+                return None
+            res = memo[key] = frozenset() if any(rows) else frozenset({0})
         return res
-    tracker.spend()
-    if not g.oriented:
-        res = frozenset({0}) if is_total_terminal(g) else frozenset()
-    else:
-        acc: set[int] = set()
-        for v in sorted(g.oriented):
-            acc.update(length + 1 for length in _total_lengths(gcdr(g, v), memo, tracker))
-        res = frozenset(acc)
-    memo[g] = res
+
+    res = enter(rows, ori)
+    while stack:
+        key, moves, acc = stack[-1]
+        if res is not None:  # fold in the child just resolved
+            acc.update(length + 1 for length in res)
+        i = next(moves, None)
+        if i is None:
+            memo[key] = res = frozenset(acc)
+            stack.pop()
+            continue
+        res = enter(*graphmod.move(*key, i))
     return res

@@ -7,7 +7,7 @@ sizes.
 """
 from __future__ import annotations
 
-from cdsort.ops import _apply_cdr, _apply_cds, _cdr_moves, _cds_moves
+from cdsort.ops import _apply_cdr, _apply_cds, _arcs, _cdr_moves, _cds_moves, _interleave
 
 
 def all_maximal_cdr_runs(entries):
@@ -39,3 +39,116 @@ def cdr_sorting_run_lengths(entries):
 
 def cdr_run_lengths_to(entries, target):
     return {len(run) for run, final in all_maximal_cdr_runs(entries) if final == target}
+
+
+# ---------------------------------------------------------------------------
+# overlap graphs as plain frozensets: (vertices, edges with u < v, oriented),
+# with the pairwise and set-based algorithms, as the reference for the
+# graph module's bitmask kernels.
+
+
+def graph_sets(g):
+    """The (vertices, edges, oriented) frozenset triple of an OrientedGraph."""
+    return g.vertices, g.edges, g.oriented
+
+
+def overlap_graph_sets(entries):
+    """Overlap graph by the pairwise arc-crossing test."""
+    arcs = _arcs(entries)
+    m = len(arcs)
+    edges = set()
+    for pi in range(m):
+        k1, k2 = arcs[pi][0], arcs[pi][1]
+        for qi in range(pi + 1, m):
+            l1, l2 = arcs[qi][0], arcs[qi][1]
+            if _interleave(k1, k2, l1, l2):
+                edges.add((pi + 1, qi + 1))
+    oriented = frozenset(i + 1 for i in range(m) if not arcs[i][4])
+    return frozenset(range(1, m + 1)), frozenset(edges), oriented
+
+
+def neighbors_sets(graph, v):
+    _, edges, _ = graph
+    return frozenset(u if w == v else w for u, w in edges if v in (u, w))
+
+
+def local_complement_sets(graph, s):
+    vertices, edges, oriented = graph
+    s = frozenset(s) & vertices
+    inside = sorted(s)
+    new_edges = {e for e in edges if not (e[0] in s and e[1] in s)}
+    for a in range(len(inside)):
+        for b in range(a + 1, len(inside)):
+            e = (inside[a], inside[b])
+            if e not in edges:
+                new_edges.add(e)
+    return vertices, frozenset(new_edges), oriented ^ s
+
+
+def gcdr_sets(graph, v):
+    assert v in graph[2], "gcdr needs an oriented vertex"
+    return local_complement_sets(graph, neighbors_sets(graph, v) | {v})
+
+
+def component_report_sets(graph):
+    """(components as (vertex frozenset, oriented) sorted by least vertex,
+    isolated vertices as (vertex, oriented))."""
+    vertices, edges, oriented = graph
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = set()
+    components = []
+    isolated = []
+    for v in sorted(vertices):
+        if v in seen:
+            continue
+        if not adj[v]:
+            isolated.append((v, v in oriented))
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        components.append((frozenset(comp), bool(comp & oriented)))
+    components.sort(key=lambda c: min(c[0]))
+    return tuple(components), tuple(isolated)
+
+
+def has_unoriented_component_sets(graph):
+    return any(not ori for _, ori in component_report_sets(graph)[0])
+
+
+def greedy_safe_total_sequence_sets(entries):
+    """Lowest oriented vertex whose gcdr leaves no unoriented component, each
+    step checked on the whole graph; None when the graph starts with an
+    unoriented component."""
+    g = overlap_graph_sets(entries)
+    if has_unoriented_component_sets(g):
+        return None
+    seq = []
+    while g[2]:
+        for v in sorted(g[2]):
+            nxt = gcdr_sets(g, v)
+            if not has_unoriented_component_sets(nxt):
+                seq.append(v)
+                g = nxt
+                break
+        else:
+            raise AssertionError("no safe oriented vertex")
+    return tuple(seq)
+
+
+def playout_length_sets(graph):
+    """Length of the playout that always takes the lowest oriented vertex."""
+    length = 0
+    while graph[2]:
+        graph = gcdr_sets(graph, min(graph[2]))
+        length += 1
+    return length

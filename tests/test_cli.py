@@ -1,9 +1,11 @@
+import functools
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from cdsort import games
 from cdsort.cli import main
 from cdsort.graph import graph_from_text, to_text
 from cdsort.ops import SortTrace
@@ -236,6 +238,57 @@ def test_game_rejects_two_sources(tmp_path, capsys):
     path.write_text("vertex (1,2) oriented\n")
     code, _, err = run_cli(capsys, "game", "[1,2]", "--graph-file", str(path))
     assert code == 1 and "not both" in err
+
+
+def _isolated_oriented_text(n):
+    return "".join(f"vertex ({v},{v + 1}) oriented\n" for v in range(1, n + 1))
+
+
+def _oriented_path_text(n):
+    # a path whose end vertex alone is oriented: every playout is forced and
+    # has one move per vertex
+    lines = ["vertex (1,2) oriented\n"]
+    lines += [f"vertex ({v},{v + 1}) unoriented\n" for v in range(2, n + 1)]
+    lines += [f"edge ({v},{v + 1}) ({v + 1},{v + 2})\n" for v in range(1, n)]
+    return "".join(lines)
+
+
+def test_game_oracle_on_deep_graph_reports_budget(tmp_path, capsys, monkeypatch):
+    # a small budget keeps the test fast; the search is the one the CLI runs
+    monkeypatch.setattr(games, "winner_by_minimax",
+                        functools.partial(games.winner_by_minimax, budget=2000))
+    path = tmp_path / "deep.txt"
+    path.write_text(_isolated_oriented_text(1500))
+    code, out, err = run_cli(capsys, "game", "--graph-file", str(path), "--oracle")
+    assert code == 1
+    assert out.splitlines()[0] == "winner: TWO (parity even)"
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_game_oracle_plays_a_game_as_long_as_the_graph(tmp_path, capsys):
+    path = tmp_path / "path.txt"
+    path.write_text(_oriented_path_text(1500))
+    code, out, err = run_cli(capsys, "game", "--graph-file", str(path), "--oracle")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["winner: TWO (parity even)", "oracle: TWO (agree)"]
+
+
+def test_game_graph_file_with_large_labels(tmp_path, capsys):
+    text = ("vertex (7,8) oriented\n"
+            "vertex (1000000000,1000000001) oriented\n"
+            "vertex (1000000002,1000000003) unoriented\n"
+            "edge (7,8) (1000000000,1000000001)\n"
+            "edge (1000000000,1000000001) (1000000002,1000000003)\n")
+    assert to_text(graph_from_text(text)) == text
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "game", "--graph-file", str(path), "--oracle", "--trace")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "winner: ONE (parity odd)",
+        "oracle: ONE (agree)",
+        "ply 1 ONE (7,8) remaining=0",
+    ]
 
 
 # ---------------------------------------------------------------------------

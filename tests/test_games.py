@@ -15,6 +15,7 @@ from cdsort.games import (
     winner_by_parity,
 )
 from cdsort.graph import (
+    OrientedGraph,
     apply_gcdr_sequence,
     build_overlap_graph,
     gcdr,
@@ -91,6 +92,21 @@ def test_minimax_budget_is_enforced():
     state = state_from_permutation(PI6)
     with pytest.raises(BudgetExceededError):
         winner_by_minimax(state, budget=0)
+
+
+def test_minimax_on_deep_graphs():
+    from cdsort.analysis import BudgetExceededError
+
+    n = 1500
+    isolated = OrientedGraph(range(1, n + 1), (), range(1, n + 1))
+    with pytest.raises(BudgetExceededError):
+        winner_by_minimax(GameState(isolated), budget=2000)
+    # a path oriented only at its end: the one playout has a move per vertex
+    path = OrientedGraph(range(1, n + 1), [(v, v + 1) for v in range(1, n)], {1})
+    for rule in ("normal", "misere"):
+        state = GameState(path, ONE, rule)
+        assert winner_by_minimax(state) == winner_by_parity(state)
+    assert len(playout(GameState(path))) == n
 
 
 def test_minimax_agrees_on_random_graphs():
