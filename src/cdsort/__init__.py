@@ -4,9 +4,10 @@ The package implements the two context-directed operations used to model
 ciliate micronuclear gene assembly -- cdr (a pointer-directed reversal with
 negation) and cds (a pointer-pair-directed block swap) -- together with the
 oriented overlap-graph calculus (local complementation and gcdr) that mirrors
-cdr at the graph level, exhaustive search oracles, verification sweeps for the
-structure theorems (rescue, parity, step counting, same-length, commutation),
-and solvers for the normal/misere gcdr games.
+cdr at the graph level, a polynomial sortability decision checked against
+exhaustive search oracles, verification sweeps for the structure theorems
+(rescue, parity, step counting, same-length, commutation), and solvers for the
+normal/misere gcdr games.
 """
 
 from .analysis import (

@@ -1,14 +1,20 @@
-"""Sortability search, sequence machinery, and executable theorem checks.
+"""Sortability decisions, sequence machinery, and executable theorem checks.
 
-Ground truth for sortability is exhaustive search over the cdr move graph,
-memoized by permutation.  The overlap-graph criterion ("no unoriented
-component") is exposed separately: it is silent about isolated unoriented
-vertices whose arc is not an adjacency -- [2, 1] has no component at all, no
-applicable move, and is not the identity -- so criterion and search can
-disagree.  Disagreements are reported, never hidden.
+cdr-sortability is decided in polynomial time from the overlap graph: play
+greedy-safe moves to a total terminal and replay them as cdr moves (see
+cdr_sortable_search for why this is exact).  The exhaustive memoized search
+over the cdr move graph stays as the oracle: it backs the sorting-length,
+fixed-point and maximal-sequence queries, the property sweeps, and the tests
+that check the fast decision against it.  The overlap-graph criterion ("no
+unoriented component") is exposed separately: it is silent about isolated
+unoriented vertices whose arc is not an adjacency -- [2, 1] has no component
+at all, no applicable move, and is not the identity -- so criterion and search
+can disagree.  Disagreements are reported, never hidden.
 
-Budgets bound the number of distinct states a search may expand.  Running out
-raises BudgetExceededError, except where a partial answer is meaningful:
+Budgets bound the number of states a computation may visit: for the
+sortability decision, the positions of its witness run; for the exhaustive
+searches, the distinct states expanded.  Running out raises
+BudgetExceededError, except where a partial answer is meaningful:
 cdr_sortable_search returns (None, None) for "undecided" and
 enumerate_cdr_fixed_points returns a partial result flagged incomplete.
 
@@ -32,7 +38,6 @@ from .perm import (
     SignedPermutation,
     all_signed_permutations,
     as_entries,
-    collapse_adjacencies,
     identity_entries,
     is_identity,
     reverse_identity_entries,
@@ -184,78 +189,60 @@ def _greedy_cds_run(entries: Entries) -> tuple[Entries, int, list]:
         steps += 1
 
 
-def _witness_from_memo(entries: Entries, target: Entries, memo: dict) -> tuple[int, ...]:
-    """Recover one sorting move sequence from a completed fixed-point memo."""
-    witness = []
-    while entries != target:
-        for i in ops._cdr_moves(entries):
-            child = ops._apply_cdr(entries, i)
-            if target in memo[child]:
-                witness.append(i)
-                entries = child
-                break
-        else:  # pragma: no cover - memo promised reachability
-            raise TheoremViolationError("witness reconstruction lost the target")
-    return tuple(witness)
-
-
 # ---------------------------------------------------------------------------
 # sortability
 
 
 def cdr_sortable_search(p, budget: int = DEFAULT_BUDGET, *, reduce_adjacencies: bool = False):
-    """Decide cdr-sortability to the identity by exhaustive memoized search.
+    """Decide cdr-sortability to the identity in polynomial time.
 
     Returns (True, witness pointer tuple), (False, None), or (None, None) when
-    the budget ran out undecided.  With reduce_adjacencies the search runs on
-    adjacency-collapsed states (equivalent, often far smaller); the witness is
-    then unavailable and None is returned in its place.
+    the budget ran out undecided.  The budget counts the positions of the
+    witness run, its start and end included.  reduce_adjacencies drops the
+    witness: the answer is the same, and None is returned in its place.
+
+    The decision is exact.  An unoriented component of the overlap graph is
+    never touched by gcdr, and the identity's graph has no edge, so such a
+    permutation is not sortable.  Otherwise play greedy-safe moves to a total
+    terminal (every vertex isolated and unoriented) and replay them as cdr
+    moves; gcdr mirrors cdr, so the replay is legal.  Its end state has no
+    oriented pointer and no pair of crossing same-sign pointers, so it is a
+    fixed point of both cdr and cds.  When p is cdr-sortable, the rescue
+    theorem makes every cdr fixed point reachable from p cds-sortable, and a
+    cds fixed point that is cds-sortable is the identity itself.  So the
+    replay ends at the identity exactly when p is sortable, and then the
+    replayed moves are the witness.
     """
-    return _sortable_search(as_entries(p), identity_entries, budget, reduce_adjacencies)
+    entries = as_entries(p)
+    tracker = _Tracker(budget)
+    try:
+        tracker.spend()
+        g = build_overlap_graph(entries)
+        if has_unoriented_component(g):
+            return False, None
+        witness = graphmod.labels_at(g, _safe_ranks(g, tracker))
+    except BudgetExceededError:
+        return None, None
+    end = entries
+    for i in witness:
+        end = ops._apply_cdr(end, i)
+    if not is_identity(end):
+        return False, None
+    return True, None if reduce_adjacencies else witness
 
 
 def reverse_cdr_sortable_search(p, budget: int = DEFAULT_BUDGET, *,
                                 reduce_adjacencies: bool = False):
-    """As cdr_sortable_search, with the reverse identity as target."""
-    return _sortable_search(as_entries(p), reverse_identity_entries, budget,
-                            reduce_adjacencies)
+    """As cdr_sortable_search, with the reverse identity as target.
 
-
-def _sortable_search(entries, target_of, budget, reduce_adjacencies):
-    tracker = _Tracker(budget)
-    if reduce_adjacencies:
-        # Collapsed states: anything collapsing to (1,) is an identity, and to
-        # (-1,) a reverse identity, of its original length.
-        try:
-            found = _reduced_search(collapse_adjacencies(entries), target_of(1), {}, tracker)
-        except BudgetExceededError:
-            return None, None
-        return found, None
-    target = target_of(len(entries))
-    memo: dict = {}
-    try:
-        fps = _fixed_point_lengths(entries, memo, tracker)
-    except BudgetExceededError:
-        return None, None
-    if target not in fps:
-        return False, None
-    return True, _witness_from_memo(entries, target, memo)
-
-
-def _reduced_search(entries, target, memo, tracker):
-    if entries == target:
-        return True
-    res = memo.get(entries)
-    if res is not None:
-        return res
-    tracker.spend()
-    memo[entries] = False
-    for i in ops._cdr_moves(entries):
-        child = collapse_adjacencies(ops._apply_cdr(entries, i))
-        if _reduced_search(child, target, memo, tracker):
-            memo[entries] = True
-            return True
-    return False
+    Reading p on the other strand, R(p) = (-p[n-1], ..., -p[0]), maps the
+    identity to the reverse identity, keeps the applicable cdr pointers, and
+    commutes with cdr at every pointer.  So a move sequence takes p to the
+    reverse identity exactly when it takes R(p) to the identity, and the
+    answer and witness for R(p) are the answer and witness for p.
+    """
+    other_strand = tuple(-v for v in reversed(as_entries(p)))
+    return cdr_sortable_search(other_strand, budget, reduce_adjacencies=reduce_adjacencies)
 
 
 def cdr_sorting_lengths(p, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
@@ -460,14 +447,16 @@ class StepCounts(NamedTuple):
 
 def cdr_steps(p, *, prefix_moves: Sequence[int] = (), budget: int = DEFAULT_BUDGET) -> StepCounts:
     """Count k cdr steps to a fixed point plus m cds steps to finish; k + 2m
-    is checked against the invariant sorting length before returning."""
+    is checked against the invariant sorting length, the length of the
+    sortability witness (all sorting runs have one length), before
+    returning."""
     entries = as_entries(p)
-    lengths = cdr_sorting_lengths(entries, budget)
-    if not lengths:
+    sortable, witness = cdr_sortable_search(entries, budget)
+    if sortable is None:
+        raise BudgetExceededError("sortability undecided within budget")
+    if not sortable:
         raise ValueError(f"{SignedPermutation(entries)} is not cdr-sortable")
-    if len(lengths) != 1:  # pragma: no cover - ruled out by the same-length property
-        raise TheoremViolationError(f"multiple sorting lengths {sorted(lengths)}")
-    sorting_length = next(iter(lengths))
+    sorting_length = len(witness)
     trace = indiscriminate_cdr_trace(entries, prefix_moves=prefix_moves)
     k = len(trace.steps)
     end, m, _ = _greedy_cds_run(trace.final.entries)
@@ -509,6 +498,14 @@ def greedy_safe_total_sequence(p) -> tuple[int, ...]:
     g = build_overlap_graph(p)
     if has_unoriented_component(g):
         raise ValueError("overlap graph has an unoriented component; no total sequence exists")
+    # a move leaves its vertex isolated and unoriented for good, so play
+    # makes at most one move per vertex
+    return graphmod.labels_at(g, _safe_ranks(g, _Tracker(len(g.vertices))))
+
+
+def _safe_ranks(g: graphmod.OrientedGraph, tracker: _Tracker) -> list[int]:
+    """Ranks of the greedy-safe moves from g, which has no unoriented
+    component, to a total terminal; spends once per move."""
     rows, ori = graphmod.masks(g)
     ranks = []
     while ori:
@@ -517,9 +514,10 @@ def greedy_safe_total_sequence(p) -> tuple[int, ...]:
             raise TheoremViolationError("no safe oriented vertex found")
         i, rows, ori = step
         ranks.append(i)
+        tracker.spend()
     if any(rows):  # pragma: no cover - safety net
         raise TheoremViolationError("safe play ended in a non-total terminal")
-    return graphmod.labels_at(g, ranks)
+    return ranks
 
 
 def extend_to_total(p, maxseq: Sequence[int], budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:

@@ -236,15 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # ValueError covers PermutationError and games.IllegalMoveError too
     try:
         return args.func(args)
-    except (PermutationError, NotApplicableError, games.IllegalMoveError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (analysis.BudgetExceededError, analysis.TheoremViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NotApplicableError,
+            analysis.BudgetExceededError, analysis.TheoremViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
