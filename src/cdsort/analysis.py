@@ -28,6 +28,8 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from . import graph as graphmod
@@ -47,8 +49,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 10_000_000
 
-_ZERO = frozenset({0})
-
 
 class BudgetExceededError(RuntimeError):
     """The configured search budget ran out before the question was decided."""
@@ -58,7 +58,9 @@ class TheoremViolationError(RuntimeError):
     """A structurally guaranteed outcome failed to materialize."""
 
 
-class _Tracker:
+class Tracker:
+    """A budget of states, shared by the searches of one query or sweep."""
+
     __slots__ = ("remaining",)
 
     def __init__(self, budget: int):
@@ -71,111 +73,76 @@ class _Tracker:
 
 
 # ---------------------------------------------------------------------------
-# move-graph dynamic programming (kernels shared with the sweep runner)
+# the memoized fold over a move graph (the exhaustive oracle; the sweep runner
+# shares its memo tables between inputs)
+#
+# Sets of run lengths are int bitmasks: bit k set means a run of length k.
 
 
-def _fixed_point_lengths(entries: Entries, memo: dict, tracker: _Tracker) -> dict:
-    """fixed point -> frozenset of lengths of all cdr runs from ``entries``
-    ending there.  Every maximal run ends at some fixed point, so this covers
-    every run without enumerating paths."""
+def fold(entries: Entries, memo: dict, tracker: Tracker, children, leaf, combine):
+    """Memoized post-order fold over the states reachable from ``entries``.
+
+    A state not in ``memo`` spends one unit of ``tracker``, then resolves to
+    combine(results of its children, in the order children(state) yields
+    them), or to leaf(state) when it has none.  Children are visited depth
+    first, one recursive call per move, so a run longer than the interpreter's
+    recursion limit allows ends in RecursionError.  Every result must
+    be truthy (a nonzero mask, a nonempty table): a child found in ``memo``
+    is read without a call.
+    """
     res = memo.get(entries)
-    if res is not None:
-        return res
-    tracker.spend()
-    moves = ops._cdr_moves(entries)
-    if not moves:
-        res = {entries: _ZERO}
-    else:
-        acc: dict[Entries, frozenset[int]] = {}
-        for i in moves:
-            for fp, lengths in _fixed_point_lengths(
-                ops._apply_cdr(entries, i), memo, tracker
-            ).items():
-                shifted = frozenset(length + 1 for length in lengths)
-                prev = acc.get(fp)
-                acc[fp] = shifted if prev is None else prev | shifted
-        res = acc
-    memo[entries] = res
+    if res is None:
+        tracker.spend()
+        results = [memo.get(child) or fold(child, memo, tracker, children, leaf, combine)
+                   for child in children(entries)]
+        res = memo[entries] = combine(results) if results else leaf(entries)
     return res
 
 
-def _maximal_lengths(entries: Entries, memo: dict, tracker: _Tracker) -> frozenset[int]:
-    res = memo.get(entries)
-    if res is not None:
-        return res
-    tracker.spend()
-    moves = ops._cdr_moves(entries)
-    if not moves:
-        res = _ZERO
-    else:
-        acc: set[int] = set()
-        for i in moves:
-            acc.update(
-                length + 1
-                for length in _maximal_lengths(ops._apply_cdr(entries, i), memo, tracker)
-            )
-        res = frozenset(acc)
-    memo[entries] = res
-    return res
+def _extend_lengths(results: list) -> int:
+    return reduce(or_, results) << 1
 
 
-def _maximal_length_counts(entries: Entries, memo: dict, tracker: _Tracker) -> Counter:
-    res = memo.get(entries)
-    if res is not None:
-        return res
-    tracker.spend()
-    moves = ops._cdr_moves(entries)
-    if not moves:
-        res = Counter({0: 1})
-    else:
-        res = Counter()
-        for i in moves:
-            for length, count in _maximal_length_counts(
-                ops._apply_cdr(entries, i), memo, tracker
-            ).items():
-                res[length + 1] += count
-    memo[entries] = res
-    return res
+def _extend_fixed_points(results: list) -> dict:
+    acc: dict = {}
+    for res in results:
+        for fp, mask in res.items():
+            acc[fp] = acc.get(fp, 0) | mask << 1
+    return acc
 
 
-def _cds_maximal_lengths(entries: Entries, memo: dict, tracker: _Tracker) -> frozenset[int]:
-    res = memo.get(entries)
-    if res is not None:
-        return res
-    tracker.spend()
-    moves = ops._cds_moves(entries)
-    if not moves:
-        res = _ZERO
-    else:
-        acc: set[int] = set()
-        for pq in moves:
-            acc.update(
-                length + 1
-                for length in _cds_maximal_lengths(ops._apply_cds(entries, *pq), memo, tracker)
-            )
-        res = frozenset(acc)
-    memo[entries] = res
-    return res
+def _extend_counts(results: list) -> dict:
+    acc: dict = {}
+    for res in results:
+        for length, count in res.items():
+            acc[length + 1] = acc.get(length + 1, 0) + count
+    return acc
 
 
-def _cds_fixed_points(entries: Entries, memo: dict, tracker: _Tracker) -> frozenset[Entries]:
-    res = memo.get(entries)
-    if res is not None:
-        return res
-    tracker.spend()
-    moves = ops._cds_moves(entries)
-    if not moves:
-        res = frozenset({entries})
-    else:
-        acc: set[Entries] = set()
-        for pq in moves:
-            acc |= _cds_fixed_points(ops._apply_cds(entries, *pq), memo, tracker)
-        res = frozenset(acc)
-    memo[entries] = res
-    return res
+def fixed_point_masks(entries: Entries, memo: dict, tracker: Tracker) -> dict:
+    """fixed point -> length mask of all cdr runs from ``entries`` ending
+    there.  Every maximal run ends at some fixed point, so this covers every
+    run without enumerating paths."""
+    return fold(entries, memo, tracker, ops._cdr_children, lambda fp: {fp: 1},
+                _extend_fixed_points)
 
 
-def _greedy_cds_run(entries: Entries) -> tuple[Entries, int, list]:
+def maximal_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
+    """Length mask of all maximal cdr runs from ``entries``."""
+    return fold(entries, memo, tracker, ops._cdr_children, lambda _: 1, _extend_lengths)
+
+
+def cds_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
+    """Length mask of all maximal cds runs from ``entries``."""
+    return fold(entries, memo, tracker, ops._cds_children, lambda _: 1, _extend_lengths)
+
+
+def mask_lengths(mask: int) -> tuple[int, ...]:
+    """The lengths in a length mask, in increasing order."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def greedy_cds_run(entries: Entries) -> tuple[Entries, int, list]:
     """Apply the first applicable cds (canonical order) until none remains.
     Returns (end state, step count, moves taken)."""
     steps = 0
@@ -214,7 +181,7 @@ def cdr_sortable_search(p, budget: int = DEFAULT_BUDGET, *, reduce_adjacencies: 
     replayed moves are the witness.
     """
     entries = as_entries(p)
-    tracker = _Tracker(budget)
+    tracker = Tracker(budget)
     try:
         tracker.spend()
         g = build_overlap_graph(entries)
@@ -249,8 +216,8 @@ def cdr_sorting_lengths(p, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Lengths of all cdr move sequences sorting p to the identity (empty when
     p is not cdr-sortable)."""
     entries = as_entries(p)
-    fps = _fixed_point_lengths(entries, {}, _Tracker(budget))
-    return fps.get(identity_entries(len(entries)), frozenset())
+    fps = fixed_point_masks(entries, {}, Tracker(budget))
+    return frozenset(mask_lengths(fps.get(identity_entries(len(entries)), 0)))
 
 
 def cdr_sortable_criterion(p) -> bool:
@@ -266,11 +233,11 @@ def criterion_discrepancies(n: int, budget: int = DEFAULT_BUDGET):
     also logged.  Exhaustive: intended for small n."""
     out = []
     memo: dict = {}
-    tracker = _Tracker(budget)
+    tracker = Tracker(budget)
     target = identity_entries(n)
     for entries in all_signed_permutations(n):
         crit = cdr_sortable_criterion(entries)
-        sortable = target in _fixed_point_lengths(entries, memo, tracker)
+        sortable = target in fixed_point_masks(entries, memo, tracker)
         if crit != sortable:
             logger.info("criterion/search disagreement at %s: criterion=%s search=%s",
                         entries, crit, sortable)
@@ -295,11 +262,11 @@ class FixedPointEnumeration:
 def enumerate_cdr_fixed_points(p, budget: int = DEFAULT_BUDGET) -> FixedPointEnumeration:
     entries = as_entries(p)
     try:
-        fps = _fixed_point_lengths(entries, {}, _Tracker(budget))
+        fps = fixed_point_masks(entries, {}, Tracker(budget))
     except BudgetExceededError:
         return FixedPointEnumeration(_bfs_fixed_points(entries, budget), complete=False)
     return FixedPointEnumeration(
-        {SignedPermutation(fp): tuple(sorted(lengths)) for fp, lengths in fps.items()},
+        {SignedPermutation(fp): mask_lengths(mask) for fp, mask in fps.items()},
         complete=True,
     )
 
@@ -330,7 +297,8 @@ def _bfs_fixed_points(entries: Entries, max_states: int) -> dict:
 def maximal_sequence_lengths(p, budget: int = DEFAULT_BUDGET) -> Counter:
     """Multiset of lengths over all maximal cdr move sequences from p, as a
     Counter mapping length -> number of sequences."""
-    return Counter(_maximal_length_counts(as_entries(p), {}, _Tracker(budget)))
+    return Counter(fold(as_entries(p), {}, Tracker(budget), ops._cdr_children,
+                        lambda _: {0: 1}, _extend_counts))
 
 
 def parity(p) -> str:
@@ -378,14 +346,14 @@ def cds_sortable_greedy(p, target: str = "identity") -> tuple[bool, int]:
     every maximal cds run sorts it, and all such runs have one length."""
     entries = as_entries(p)
     goal = _target_entries(target, len(entries))
-    end, steps, _ = _greedy_cds_run(entries)
+    end, steps, _ = greedy_cds_run(entries)
     return end == goal, steps
 
 
 def greedy_cds_trace(p, target: str = "identity") -> tuple[ops.SortTrace, bool]:
     entries = as_entries(p)
     goal = _target_entries(target, len(entries))
-    end, _, taken = _greedy_cds_run(entries)
+    end, _, taken = greedy_cds_run(entries)
     trace = ops.SortTrace.from_moves(entries, [("cds", pq) for pq in taken])
     return trace, end == goal
 
@@ -434,7 +402,7 @@ def verify_rescue(p, budget: int = DEFAULT_BUDGET) -> RescueReport:
     goal = identity_entries(len(perm))
     rescued = []
     for fp, lengths in sorted(enum.by_fixed_point.items(), key=lambda kv: (kv[1], kv[0].entries)):
-        end, steps, _ = _greedy_cds_run(fp.entries)
+        end, steps, _ = greedy_cds_run(fp.entries)
         rescued.append(RescuedFixedPoint(fp, lengths, steps, end == goal))
     return RescueReport(perm, tuple(rescued), enum.complete)
 
@@ -459,7 +427,7 @@ def cdr_steps(p, *, prefix_moves: Sequence[int] = (), budget: int = DEFAULT_BUDG
     sorting_length = len(witness)
     trace = indiscriminate_cdr_trace(entries, prefix_moves=prefix_moves)
     k = len(trace.steps)
-    end, m, _ = _greedy_cds_run(trace.final.entries)
+    end, m, _ = greedy_cds_run(trace.final.entries)
     if not is_identity(end):
         raise TheoremViolationError(
             f"greedy cds failed to rescue fixed point {SignedPermutation(trace.final.entries)}"
@@ -500,10 +468,10 @@ def greedy_safe_total_sequence(p) -> tuple[int, ...]:
         raise ValueError("overlap graph has an unoriented component; no total sequence exists")
     # a move leaves its vertex isolated and unoriented for good, so play
     # makes at most one move per vertex
-    return graphmod.labels_at(g, _safe_ranks(g, _Tracker(len(g.vertices))))
+    return graphmod.labels_at(g, _safe_ranks(g, Tracker(len(g.vertices))))
 
 
-def _safe_ranks(g: graphmod.OrientedGraph, tracker: _Tracker) -> list[int]:
+def _safe_ranks(g: graphmod.OrientedGraph, tracker: Tracker) -> list[int]:
     """Ranks of the greedy-safe moves from g, which has no unoriented
     component, to a total terminal; spends once per move."""
     rows, ori = graphmod.masks(g)
@@ -543,7 +511,7 @@ def extend_to_total(p, maxseq: Sequence[int], budget: int = DEFAULT_BUDGET) -> t
     for i in ranks:
         position = graphmod.move(*position, i)
         prefixes.append(position)
-    tracker = _Tracker(budget)
+    tracker = Tracker(budget)
     n_vertices = len(g0.vertices)
     m = len(maxseq)
     for k in range(1, (n_vertices - m) // 2 + 1):
@@ -556,7 +524,7 @@ def extend_to_total(p, maxseq: Sequence[int], budget: int = DEFAULT_BUDGET) -> t
     )
 
 
-def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: _Tracker):
+def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: Tracker):
     """Ranks of depth oriented vertices after which the suffix ranks replay to
     a total terminal, first in increasing order; None when there are none."""
     if depth == 0:
@@ -576,12 +544,13 @@ def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: _T
 
 def cds_maximal_lengths(p, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Lengths of all maximal cds move sequences from p."""
-    return _cds_maximal_lengths(as_entries(p), {}, _Tracker(budget))
+    return frozenset(mask_lengths(cds_length_mask(as_entries(p), {}, Tracker(budget))))
 
 
 def cds_reachable_fixed_points(p, budget: int = DEFAULT_BUDGET) -> frozenset[SignedPermutation]:
     """All cds fixed points reachable from p by any cds move sequence."""
     return frozenset(
         SignedPermutation(e)
-        for e in _cds_fixed_points(as_entries(p), {}, _Tracker(budget))
+        for e in fold(as_entries(p), {}, Tracker(budget), ops._cds_children,
+                      lambda fp: frozenset((fp,)), lambda results: frozenset().union(*results))
     )

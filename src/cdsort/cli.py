@@ -239,9 +239,12 @@ def main(argv=None) -> int:
     # ValueError covers PermutationError and games.IllegalMoveError too
     try:
         return args.func(args)
-    except (ValueError, OSError, NotApplicableError,
+    except (ValueError, OSError, NotApplicableError, RecursionError,
             analysis.BudgetExceededError, analysis.TheoremViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the exhaustive searches recurse once per move of a run
+        message = ("cdr runs from this input are too long for the exhaustive search"
+                   if isinstance(exc, RecursionError) else exc)
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -429,11 +429,12 @@ def to_text(g: OrientedGraph) -> str:
     """Line-oriented form: one vertex line then one edge line per element,
     deterministically ordered.  Parsed back by graph_from_text."""
     ori = g._ori
+    name = {v: _label(v) for v in g._labels}
     lines = [
-        f"vertex {_label(v)} {'oriented' if ori >> i & 1 else 'unoriented'}"
+        f"vertex {name[v]} {'oriented' if ori >> i & 1 else 'unoriented'}"
         for i, v in enumerate(g._labels)
     ]
-    lines += [f"edge {_label(u)} {_label(v)}" for u, v in g._edge_list()]
+    lines += [f"edge {name[u]} {name[v]}" for u, v in g._edge_list()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -442,18 +443,26 @@ def graph_from_text(text: str) -> OrientedGraph:
     vertices = set()
     edges = set()
     oriented = set()
+    parsed: dict[str, int] = {}  # each distinct label is parsed once
+
+    def label(token: str) -> int:
+        v = parsed.get(token)
+        if v is None:
+            v = parsed[token] = _parse_label(token)
+        return v
+
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "vertex" and len(parts) == 3 and parts[2] in ("oriented", "unoriented"):
-            v = _parse_label(parts[1])
+            v = label(parts[1])
             vertices.add(v)
             if parts[2] == "oriented":
                 oriented.add(v)
         elif parts[0] == "edge" and len(parts) == 3:
-            edges.add((_parse_label(parts[1]), _parse_label(parts[2])))
+            edges.add((label(parts[1]), label(parts[2])))
         else:
             raise ValueError(f"line {ln}: cannot parse graph line {raw!r}")
     return OrientedGraph(frozenset(vertices), frozenset(edges), frozenset(oriented))

@@ -24,7 +24,7 @@ and skip validation; they are the kernels the search and sweep code runs on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .perm import Entries, SignedPermutation, as_entries, format_entries
 
@@ -86,6 +86,42 @@ def _apply_cdr(entries: Entries, i: int) -> Entries:
     return entries[:g1] + tuple([-v for v in reversed(entries[g1:g2])]) + entries[g2:]
 
 
+def _cdr_children(entries: Entries) -> Iterator[Entries]:
+    """The result of cdr at each applicable pointer, in increasing pointer
+    order: the states _apply_cdr gives at the pointers _cdr_moves lists.
+
+    One pass records each value's index and sign, and one more negates the
+    reversed entries; each child is then three slices, because the block a cdr
+    reverses and negates is a slice of that negated reversal.  A generator on
+    purpose: a memoized fold keeps one of these open per level of its run, and
+    a long permutation has about n/2 children of n entries per state, so
+    building them eagerly would hold about n^2 / 2 entries per level (for
+    n = 2000 and a run of a thousand levels, some 2 * 10^9) where a generator
+    holds three arrays of n.
+    """
+    n = len(entries)
+    at = [0] * (n + 1)
+    sign = [False] * (n + 1)
+    for j, v in enumerate(entries):
+        if v > 0:
+            at[v] = j
+            sign[v] = True
+        else:
+            at[-v] = j
+    flipped = tuple([-v for v in entries[::-1]])
+    for i in range(1, n):
+        pos = sign[i]
+        if pos == sign[i + 1]:
+            continue
+        # both cuts of pointer i sit after their entries when value i is
+        # positive (so i+1 is negative), before them otherwise; see _apply_cdr
+        g1 = at[i] + pos
+        g2 = at[i + 1] + pos
+        if g1 > g2:
+            g1, g2 = g2, g1
+        yield entries[:g1] + flipped[n - g2:n - g1] + entries[g2:]
+
+
 def _arcs(entries: Sequence[int]) -> list[tuple[int, int, int, int, bool]]:
     """Per pointer i (at index i-1): (key_lo, key_hi, cut_lo, cut_hi, homogeneous)
     with keys in increasing order, cuts paired to them, and ``homogeneous``
@@ -123,7 +159,11 @@ def _interleave(a1: int, a2: int, b1: int, b2: int) -> bool:
 
 
 def _cds_moves(entries: Sequence[int]) -> list[CdsMove]:
-    arcs = _arcs(entries)
+    return _cds_pairs(_arcs(entries))
+
+
+def _cds_pairs(arcs: list) -> list[CdsMove]:
+    """The applicable cds pointer pairs, in canonical order, from _arcs."""
     m = len(arcs)
     out = []
     for pi in range(m):
@@ -140,8 +180,8 @@ def _cds_moves(entries: Sequence[int]) -> list[CdsMove]:
 def _apply_cds(entries: Entries, p: int, q: int) -> Entries:
     """Apply cds at pointers p < q; assumes both in range and p != q."""
     arcs = _arcs(entries)
-    k1, k2, cp1, cp2, homog_p = arcs[p - 1]
-    l1, l2, cq1, cq2, homog_q = arcs[q - 1]
+    k1, k2, _, _, homog_p = arcs[p - 1]
+    l1, l2, _, _, homog_q = arcs[q - 1]
     if not _interleave(k1, k2, l1, l2):
         raise NotApplicableError(
             f"cds at pointers ({p},{p + 1}),({q},{q + 1}): occurrences do not alternate"
@@ -150,10 +190,25 @@ def _apply_cds(entries: Entries, p: int, q: int) -> Entries:
         raise NotApplicableError(
             f"cds at pointers ({p},{p + 1}),({q},{q + 1}): a pointer sits on opposite-sign entries"
         )
-    cuts = sorted(((k1, cp1), (k2, cp2), (l1, cq1), (l2, cq2)))
-    g1, g2, g3, g4 = (c for _, c in cuts)
-    e = entries
-    return e[:g1] + e[g3:g4] + e[g2:g3] + e[g1:g2] + e[g4:]
+    return _swap(entries, arcs[p - 1], arcs[q - 1])
+
+
+def _swap(entries: Entries, arc_p: tuple, arc_q: tuple) -> Entries:
+    """cds at two crossing arcs: exchange the segment between the first two
+    cuts with the segment between the last two."""
+    k1, _, cp1, cp2, _ = arc_p
+    l1, _, cq1, cq2, _ = arc_q
+    # the arcs cross, so their keys alternate and the cuts follow the keys
+    g1, g2, g3, g4 = (cp1, cq1, cp2, cq2) if k1 < l1 else (cq1, cp1, cq2, cp2)
+    return entries[:g1] + entries[g3:g4] + entries[g2:g3] + entries[g1:g2] + entries[g4:]
+
+
+def _cds_children(entries: Entries) -> Iterator[Entries]:
+    """The result of cds at each applicable pointer pair, in canonical order,
+    from one _arcs pass (a generator, as _cdr_children is)."""
+    arcs = _arcs(entries)
+    for p, q in _cds_pairs(arcs):
+        yield _swap(entries, arcs[p - 1], arcs[q - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import analysis, ops
 from . import graph as graphmod
-from .analysis import _Tracker
+from .analysis import Tracker, mask_lengths
 from .graph import random_oriented_graph
 from .perm import (
     Entries,
@@ -82,41 +82,43 @@ class _SweepContext:
     """Shared memo tables for one sweep; reused across its inputs."""
 
     def __init__(self, budget: int):
-        self.tracker = _Tracker(budget)
+        self.tracker = Tracker(budget)
         self.fp_memo: dict = {}
         self.maximal_memo: dict = {}
         self.cds_memo: dict = {}
         self.greedy_cache: dict = {}
 
-    def fixed_points(self, entries: Entries):
-        return analysis._fixed_point_lengths(entries, self.fp_memo, self.tracker)
+    def fixed_points(self, entries: Entries) -> dict:
+        """fixed point -> length mask of the cdr runs reaching it."""
+        return analysis.fixed_point_masks(entries, self.fp_memo, self.tracker)
 
-    def maximal_lengths(self, entries: Entries):
-        return analysis._maximal_lengths(entries, self.maximal_memo, self.tracker)
+    def maximal_lengths(self, entries: Entries) -> tuple[int, ...]:
+        return mask_lengths(analysis.maximal_length_mask(entries, self.maximal_memo, self.tracker))
 
-    def cds_lengths(self, entries: Entries):
-        return analysis._cds_maximal_lengths(entries, self.cds_memo, self.tracker)
+    def cds_lengths(self, entries: Entries) -> tuple[int, ...]:
+        return mask_lengths(analysis.cds_length_mask(entries, self.cds_memo, self.tracker))
 
     def greedy_cds(self, entries: Entries):
         hit = self.greedy_cache.get(entries)
         if hit is None:
-            end, steps, _ = analysis._greedy_cds_run(entries)
+            end, steps, _ = analysis.greedy_cds_run(entries)
             hit = (end, steps)
             self.greedy_cache[entries] = hit
         return hit
 
 
 def _check_parity(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    lengths = sorted(ctx.maximal_lengths(entries))
+    lengths = ctx.maximal_lengths(entries)
     ok = len({length % 2 for length in lengths}) == 1
     return ok, "lengths=" + ",".join(map(str, lengths))
 
 
 def _check_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    lengths = ctx.fixed_points(entries).get(identity_entries(len(entries)))
-    if lengths is None:
+    mask = ctx.fixed_points(entries).get(identity_entries(len(entries)))
+    if mask is None:
         return True, "not-cdr-sortable"
-    return len(lengths) == 1, "sorting-lengths=" + ",".join(map(str, sorted(lengths)))
+    lengths = mask_lengths(mask)
+    return len(lengths) == 1, "sorting-lengths=" + ",".join(map(str, lengths))
 
 
 def _check_rescue(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
@@ -137,13 +139,14 @@ def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     fps = ctx.fixed_points(entries)
     if target not in fps:
         return True, "not-cdr-sortable"
-    sort_lengths = fps[target]
+    sort_lengths = mask_lengths(fps[target])
     if len(sort_lengths) != 1:
-        return False, "sorting-lengths=" + ",".join(map(str, sorted(sort_lengths)))
-    sorting_length = next(iter(sort_lengths))
+        return False, "sorting-lengths=" + ",".join(map(str, sort_lengths))
+    sorting_length = sort_lengths[0]
     pairs = 0
     bad = 0
-    for fp, ks in fps.items():
+    for fp, mask in fps.items():
+        ks = mask_lengths(mask)
         end, m = ctx.greedy_cds(fp)
         if end != target:
             bad += len(ks)
@@ -157,7 +160,7 @@ def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
 
 
 def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    lengths = sorted(ctx.cds_lengths(entries))
+    lengths = ctx.cds_lengths(entries)
     return len(lengths) == 1, "lengths=" + ",".join(map(str, lengths))
 
 
@@ -218,7 +221,7 @@ def probe_total_sequence_lengths(num_graphs: int, max_vertices: int, seed: int,
     one length?  Returns descriptions of counterexample candidates (expected
     empty; any hit would answer a standing question)."""
     rng = random.Random(seed)
-    tracker = _Tracker(budget)
+    tracker = Tracker(budget)
     hits = []
     for _ in range(num_graphs):
         g = random_oriented_graph(rng, rng.randint(1, max_vertices))
@@ -228,7 +231,7 @@ def probe_total_sequence_lengths(num_graphs: int, max_vertices: int, seed: int,
     return hits
 
 
-def _total_lengths(rows: tuple, ori: int, tracker: _Tracker) -> frozenset[int]:
+def _total_lengths(rows: tuple, ori: int, tracker: Tracker) -> frozenset[int]:
     """Lengths of all total sequences from a position: a memoized post-order
     fold over the positions it reaches, with an explicit stack (a sequence is
     as long as the graph has vertices)."""

@@ -31,6 +31,31 @@ def all_maximal_cds_runs(entries):
             yield (pq,) + rest, final
 
 
+def cdr_children(entries):
+    """The states one cdr move away, in increasing pointer order."""
+    return [_apply_cdr(entries, i) for i in _cdr_moves(entries)]
+
+
+def cds_children(entries):
+    """The states one cds move away, in canonical move order."""
+    return [_apply_cds(entries, *pq) for pq in _cds_moves(entries)]
+
+
+def reachable_states(entries, children):
+    """Every state reachable from entries, entries included, breadth first."""
+    seen = {entries}
+    frontier = [entries]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for child in children(state):
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+        frontier = nxt
+    return seen
+
+
 def cdr_sorting_run_lengths(entries):
     """Set of lengths of all cdr runs that end at the identity."""
     target = tuple(range(1, len(entries) + 1))

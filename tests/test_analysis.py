@@ -412,9 +412,9 @@ def test_budget_errors_are_loud():
 
 
 def test_cds_same_length_exhaustive_n6():
-    from cdsort.analysis import _Tracker, _cds_maximal_lengths
+    from cdsort.analysis import Tracker, cds_length_mask, mask_lengths
 
     memo: dict = {}
-    tracker = _Tracker(10_000_000)
+    tracker = Tracker(10_000_000)
     for entries in all_signed_permutations(6):
-        assert len(_cds_maximal_lengths(entries, memo, tracker)) == 1
+        assert len(mask_lengths(cds_length_mask(entries, memo, tracker))) == 1

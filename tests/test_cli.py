@@ -316,6 +316,14 @@ def test_fixed_points_budget_flag(capsys):
     assert out.splitlines()[-1] == "incomplete (budget exhausted)"
 
 
+def test_fixed_points_on_deep_input_is_an_error_line(capsys):
+    # [1, -2, 3, ..., -2000]: its cdr runs are about 1000 moves long
+    deep = "[" + ", ".join(str(v if v % 2 else -v) for v in range(1, 2001)) + "]"
+    code, out, err = run_cli(capsys, "fixed-points", deep, "--budget", "100000")
+    assert code == 1 and out == ""
+    assert err == "error: cdr runs from this input are too long for the exhaustive search\n"
+
+
 def test_fixtures_listing(capsys):
     code, out, _ = run_cli(capsys, "fixtures")
     assert code == 0

@@ -1,0 +1,111 @@
+"""The memoized move-graph fold and its cdr kernel against brute force.
+
+ops._cdr_children must yield exactly the children that _cdr_moves and
+_apply_cdr give; every query built on analysis.fold must match the path-by-path
+enumeration of tests/oracles.py; and the fold must spend its budget once per
+distinct reachable state.
+"""
+from collections import Counter
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cdsort import analysis, ops
+from cdsort.analysis import (
+    BudgetExceededError,
+    Tracker,
+    cdr_sorting_lengths,
+    cds_maximal_lengths,
+    cds_reachable_fixed_points,
+    enumerate_cdr_fixed_points,
+    maximal_sequence_lengths,
+)
+from cdsort.perm import SignedPermutation, all_signed_permutations, fixtures
+
+from oracles import (
+    all_maximal_cdr_runs,
+    all_maximal_cds_runs,
+    cdr_children,
+    cdr_sorting_run_lengths,
+    cds_children,
+    reachable_states,
+)
+
+
+@st.composite
+def signed_perms(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    values = draw(st.permutations(list(range(1, n + 1))))
+    signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return tuple(v if s else -v for v, s in zip(values, signs))
+
+
+def test_cdr_children_match_moves_and_apply_exhaustively():
+    for n in range(1, 7):
+        for entries in all_signed_permutations(n):
+            assert list(ops._cdr_children(entries)) == cdr_children(entries)
+
+
+@given(signed_perms(60))
+def test_cdr_children_match_moves_and_apply(entries):
+    assert list(ops._cdr_children(entries)) == cdr_children(entries)
+
+
+def test_cds_children_match_moves_and_apply_exhaustively():
+    for n in range(1, 6):
+        for entries in all_signed_permutations(n):
+            assert list(ops._cds_children(entries)) == cds_children(entries)
+
+
+def test_every_fold_target_matches_brute_force_runs():
+    fp_memo: dict = {}
+    mask_memo: dict = {}
+    tracker = Tracker(analysis.DEFAULT_BUDGET)
+    for n in range(1, 6):
+        for entries in all_signed_permutations(n):
+            runs = list(all_maximal_cdr_runs(entries))
+            by_end: dict = {}
+            for run, end in runs:
+                by_end.setdefault(SignedPermutation(end), set()).add(len(run))
+            enum = enumerate_cdr_fixed_points(entries)
+            assert enum.complete
+            assert enum.by_fixed_point == {fp: tuple(sorted(ks)) for fp, ks in by_end.items()}
+            assert maximal_sequence_lengths(entries) == Counter(len(run) for run, _ in runs)
+            assert cdr_sorting_lengths(entries) == frozenset(cdr_sorting_run_lengths(entries))
+            # the sweeps' entry points, on memo tables shared across inputs
+            shared = analysis.fixed_point_masks(entries, fp_memo, tracker)
+            assert {SignedPermutation(fp): analysis.mask_lengths(mask)
+                    for fp, mask in shared.items()} == enum.by_fixed_point
+            assert analysis.mask_lengths(
+                analysis.maximal_length_mask(entries, mask_memo, tracker)
+            ) == tuple(sorted({len(run) for run, _ in runs}))
+
+            cds_runs = list(all_maximal_cds_runs(entries))
+            assert cds_maximal_lengths(entries) == frozenset(len(run) for run, _ in cds_runs)
+            assert cds_reachable_fixed_points(entries) == frozenset(
+                SignedPermutation(end) for _, end in cds_runs)
+
+
+BUDGET_CASES = [
+    fixtures()["u_pisces_1"].entries,
+    (1, -5, -2, 4, -3, 6),
+    (3, 6, 5, 2, 4, 8, 1, 7),
+    (-2, -4, 1, 3),
+]
+
+
+@pytest.mark.parametrize("entries", BUDGET_CASES)
+def test_budget_is_one_unit_per_reachable_state(entries):
+    states = len(reachable_states(entries, cdr_children))
+    for query in (cdr_sorting_lengths, maximal_sequence_lengths):
+        query(entries, budget=states)
+        with pytest.raises(BudgetExceededError):
+            query(entries, budget=states - 1)
+    assert enumerate_cdr_fixed_points(entries, budget=states).complete
+    assert not enumerate_cdr_fixed_points(entries, budget=states - 1).complete
+    cds_states = len(reachable_states(entries, cds_children))
+    for query in (cds_maximal_lengths, cds_reachable_fixed_points):
+        query(entries, budget=cds_states)
+        with pytest.raises(BudgetExceededError):
+            query(entries, budget=cds_states - 1)

@@ -317,6 +317,15 @@ def test_text_parse_rejects_garbage():
         graph_from_text("vertex (1,3) oriented\n")
 
 
+@pytest.mark.parametrize("edge", ["edge (1,2) (2,4)", "edge (2,4) (1,2)", "edge (1,2) (x,3)"])
+def test_text_parse_rejects_bad_edge_label_after_good_ones(edge):
+    text = f"vertex (1,2) oriented\nvertex (2,3) unoriented\nedge (1,2) (2,3)\n{edge}\n"
+    bad = next(t for t in edge.split()[1:] if t not in ("(1,2)", "(2,3)"))
+    with pytest.raises(ValueError) as info:
+        graph_from_text(text)
+    assert str(info.value) == f"bad vertex label {bad!r}, expected \"(i,i+1)\""
+
+
 def test_text_parse_skips_comments():
     g = graph_from_text("# comment\nvertex (1,2) oriented\n\nvertex (2,3) unoriented\nedge (1,2) (2,3)\n")
     assert g.vertices == frozenset({1, 2})

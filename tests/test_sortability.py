@@ -46,6 +46,13 @@ def signed_perms(draw, min_n, max_n):
     return tuple(v if s else -v for v, s in zip(values, signs))
 
 
+def dp_fixed_points(entries, memo, tracker):
+    """The DP's table: fixed point -> frozenset of the lengths of the runs
+    reaching it."""
+    return {fp: frozenset(analysis.mask_lengths(mask))
+            for fp, mask in analysis.fixed_point_masks(entries, memo, tracker).items()}
+
+
 def check_against_oracle(entries, fixed_points):
     """Both targets agree with the DP's fixed-point table of entries; every
     witness replays to its target with a length the DP also finds.  The
@@ -78,16 +85,15 @@ def test_other_strand_keeps_moves_and_commutes_with_cdr_exhaustively():
 
 def test_search_matches_dp_oracle_exhaustively():
     memo: dict = {}
-    tracker = analysis._Tracker(analysis.DEFAULT_BUDGET)
+    tracker = analysis.Tracker(analysis.DEFAULT_BUDGET)
     for n in range(1, 7):
         for entries in all_signed_permutations(n):
-            check_against_oracle(entries, analysis._fixed_point_lengths(entries, memo, tracker))
+            check_against_oracle(entries, dp_fixed_points(entries, memo, tracker))
 
 
 @given(signed_perms(7, 10))
 def test_search_matches_dp_oracle_on_larger_permutations(entries):
-    fixed_points = analysis._fixed_point_lengths(
-        entries, {}, analysis._Tracker(analysis.DEFAULT_BUDGET))
+    fixed_points = dp_fixed_points(entries, {}, analysis.Tracker(analysis.DEFAULT_BUDGET))
     check_against_oracle(entries, fixed_points)
     assert cdr_sorting_lengths(entries) == fixed_points.get(identity_entries(len(entries)),
                                                             frozenset())

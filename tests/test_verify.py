@@ -74,13 +74,13 @@ def test_total_length_probe_finds_no_counterexamples():
 
 
 def test_total_lengths_on_deep_graphs():
-    from cdsort.analysis import BudgetExceededError, _Tracker
+    from cdsort.analysis import BudgetExceededError, Tracker
     from cdsort.graph import OrientedGraph, masks
     from cdsort.verify import _total_lengths
 
     n = 1500
     path = OrientedGraph(range(1, n + 1), [(v, v + 1) for v in range(1, n)], {1})
-    assert _total_lengths(*masks(path), _Tracker(10 ** 6)) == frozenset({n})
+    assert _total_lengths(*masks(path), Tracker(10 ** 6)) == frozenset({n})
     isolated = OrientedGraph(range(1, n + 1), (), range(1, n + 1))
     with pytest.raises(BudgetExceededError):
-        _total_lengths(*masks(isolated), _Tracker(2000))
+        _total_lengths(*masks(isolated), Tracker(2000))
