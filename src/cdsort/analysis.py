@@ -302,17 +302,22 @@ def maximal_sequence_lengths(p, budget: int = DEFAULT_BUDGET) -> Counter:
 
 
 def parity(p) -> str:
-    """Parity ("even"/"odd") of the length of one greedily played maximal cdr
-    sequence; length parity is an invariant of the permutation, so one playout
-    settles it."""
-    entries = as_entries(p)
-    length = 0
-    while True:
-        moves = ops._cdr_moves(entries)
-        if not moves:
-            return "odd" if length % 2 else "even"
-        entries = ops._apply_cdr(entries, moves[0])
-        length += 1
+    """Parity ("even"/"odd") of the length of every maximal cdr sequence from
+    p, read off one rank over GF(2).
+
+    Let M = A + D be the adjacency matrix of p's overlap graph with the
+    orientation flags on its diagonal.  cdr at pointer v is gcdr at the
+    oriented vertex v, and over GF(2) gcdr is a pivot on the entry
+    M[v][v] = 1: with r the row of v (the closed neighbourhood of v), it
+    makes M + r r^T, which complements the edges and flags inside that
+    neighbourhood and leaves row and column v zero.  Such a pivot lowers the
+    rank by exactly one.  A maximal sequence ends with no oriented vertex,
+    where M has a zero diagonal; a symmetric matrix with a zero diagonal has
+    even rank over GF(2).  So every maximal sequence has length rank(M) minus
+    an even number, and the parity is rank(M) mod 2.
+    """
+    rank = graphmod.gf2_rank(*graphmod.overlap_masks(as_entries(p)))
+    return "odd" if rank % 2 else "even"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ property sweep records failures).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import analysis, games, verify
@@ -234,8 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than most
+    commands do, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     # ValueError covers PermutationError and games.IllegalMoveError too
     try:
         return args.func(args)

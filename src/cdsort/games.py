@@ -6,10 +6,15 @@ rule the player who makes the last move wins; under misere, loses.  A player
 whose turn arrives with no legal move has made no last move: they lose under
 normal play and win under misere.
 
-Since every playout from a position has the same length parity, the winner is
-forced regardless of strategy; winner_by_parity plays one greedy line and
-reads the answer off its length.  winner_by_minimax is the independent
-game-tree oracle used to validate that shortcut.
+Every playout from a position has the same length parity: each gcdr lowers
+the GF(2) rank of the adjacency matrix with the orientation flags on its
+diagonal by one, and a terminal's rank is even (see analysis.parity, which
+reads the parity off that rank).  So the winner is forced regardless of
+strategy.  winner_by_parity plays one greedy line, in place, and reads the
+answer off its length; it stays a playout rather than a rank, so that it and
+analysis.parity are two independent computations that can check each other.
+winner_by_minimax is the independent game-tree oracle used to validate that
+shortcut.
 """
 from __future__ import annotations
 
@@ -63,12 +68,7 @@ def play(state: GameState, v: int) -> GameState:
 
 
 def _playout_length(graph: OrientedGraph) -> int:
-    rows, ori = graphmod.masks(graph)
-    length = 0
-    while ori:
-        rows, ori = graphmod.move(rows, ori, next(graphmod.bits(ori)))
-        length += 1
-    return length
+    return graphmod.playout_length(*graphmod.masks(graph))
 
 
 def winner_by_parity(state: GameState) -> str:

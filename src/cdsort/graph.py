@@ -20,7 +20,8 @@ complementation is then XOR over GF(2): toggling the edges inside S is
 ``row[j] ^= S`` minus the own bit for each j in S, and flipping the flags is
 ``ori ^= S``.  The analysis, game and sweep code runs its hot loops on such
 positions through the position helpers below (masks, move, play_ranks,
-safe_move), which skip validation; the layout is known only to this module.
+safe_move, playout_length, gf2_rank), which skip validation; the layout is
+known only to this module.
 """
 from __future__ import annotations
 
@@ -88,16 +89,33 @@ def _component(rows, seed: int) -> int:
 
 def _has_unoriented_component(rows, ori: int, seeds: int) -> bool:
     """Does a component (size >= 2) meeting the vertex mask seeds have no
-    oriented vertex?  Stops at the first such component."""
+    oriented vertex?  Stops at the first such component.
+
+    A bit search from a seed stops as soon as it reaches an oriented vertex
+    or a vertex an earlier search tied to one, and what it saw joins that
+    stop mask; so no vertex is expanded twice over the whole check, and a
+    long path with one oriented end vertex costs one pass, not one per seed.
+    """
+    stop = ori
+    seeds &= ~ori
     while seeds:
         low = seeds & -seeds
-        if rows[low.bit_length() - 1]:
-            comp = _component(rows, low)
-            if not comp & ori:
-                return True
-            seeds &= ~comp
-        else:
+        if not rows[low.bit_length() - 1]:
             seeds ^= low
+            continue
+        seen = frontier = low
+        while True:
+            reach = 0
+            for j in bits(frontier):
+                reach |= rows[j]
+            if reach & stop:
+                break
+            frontier = reach & ~seen
+            if not frontier:
+                return True
+            seen |= frontier
+        stop |= seen | reach
+        seeds &= ~stop
     return False
 
 
@@ -162,6 +180,44 @@ def safe_move(rows: tuple, ori: int) -> tuple[int, tuple[int, ...], int] | None:
         if not _has_unoriented_component(moved, moved_ori, rows[i]):
             return i, tuple(moved), moved_ori
     return None
+
+
+def playout_length(rows: tuple, ori: int) -> int:
+    """The number of moves of the play that always takes the lowest oriented
+    rank, played in place on one copy of rows."""
+    rows = list(rows)
+    length = 0
+    while ori:
+        ori = _gcdr_masks(rows, ori, (ori & -ori).bit_length() - 1)
+        length += 1
+    return length
+
+
+def gf2_rank(rows: tuple, ori: int) -> int:
+    """The rank over GF(2) of the position's matrix M = A + D: the adjacency
+    rows with bit k of ori on row k's diagonal.  Eliminates over the row
+    masks, keeping one basis row per leading bit.
+
+    gcdr at an oriented rank is a pivot on M, so it lowers the rank by
+    exactly one; see analysis.parity.
+
+    >>> triangle = (0b110, 0b101, 0b011)
+    >>> gf2_rank(triangle, 0b001), gf2_rank(*move(triangle, 0b001, 0))
+    (3, 2)
+    >>> gf2_rank(triangle, 0)  # no oriented vertex: a zero diagonal, even rank
+    2
+    """
+    basis: dict[int, int] = {}
+    for k, row in enumerate(rows):
+        row |= (ori >> k & 1) << k
+        while row:
+            lead = row.bit_length()
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                break
+            row ^= pivot
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------

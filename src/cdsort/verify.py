@@ -168,8 +168,10 @@ def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]
     rows, ori = graphmod.overlap_masks(entries)
     moves = ops._cdr_moves(entries)
     bad = 0
-    for i in moves:  # pointer i sits at rank i - 1
-        if graphmod.overlap_masks(ops._apply_cdr(entries, i)) != graphmod.move(rows, ori, i - 1):
+    # _cdr_children yields the child of each pointer _cdr_moves lists, in
+    # order; pointer i sits at rank i - 1
+    for i, child in zip(moves, ops._cdr_children(entries)):
+        if graphmod.overlap_masks(child) != graphmod.move(rows, ori, i - 1):
             bad += 1
     return bad == 0, f"pointers={len(moves)} violations={bad}"
 
@@ -217,9 +219,14 @@ def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
 
 def probe_total_sequence_lengths(num_graphs: int, max_vertices: int, seed: int,
                                  budget: int = DEFAULT_SWEEP_BUDGET) -> list[str]:
-    """Empirical probe: on random oriented graphs, do all total sequences have
-    one length?  Returns descriptions of counterexample candidates (expected
-    empty; any hit would answer a standing question)."""
+    """On random oriented graphs, do all total sequences have one length?
+    Returns descriptions of the graphs where they do not; expected empty.
+
+    Each gcdr lowers the GF(2) rank of the adjacency matrix with the
+    orientation flags on its diagonal by exactly one (graph.gf2_rank), and a
+    total terminal's matrix is zero, so every total sequence has length equal
+    to that rank.  The probe is therefore a cross-check of the move kernel
+    against that lemma, not an open question."""
     rng = random.Random(seed)
     tracker = Tracker(budget)
     hits = []

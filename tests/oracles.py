@@ -56,6 +56,16 @@ def reachable_states(entries, children):
     return seen
 
 
+def parity_by_playout(entries):
+    """Parity ("even"/"odd") of the length of the maximal cdr run that always
+    takes the lowest applicable pointer."""
+    length = 0
+    while moves := _cdr_moves(entries):
+        entries = _apply_cdr(entries, moves[0])
+        length += 1
+    return "odd" if length % 2 else "even"
+
+
 def cdr_sorting_run_lengths(entries):
     """Set of lengths of all cdr runs that end at the identity."""
     target = tuple(range(1, len(entries) + 1))

@@ -187,6 +187,31 @@ def test_verify_requires_mode(capsys):
         main(["verify", "--property", "parity", "--n", "3"])
 
 
+def test_main_calls_in_one_process_are_independent(capsys):
+    """main builds its parser once per process: options, defaults and an
+    argparse error in one call must not leak into the next."""
+    calls = [
+        ("graph", "[1, -5, -2, 4, -3, 6]", "--format", "text"),
+        ("sort", "[3, -1, 4, -2, 5, 6]", "--strategy", "indiscriminate", "--allow-cds"),
+        ("sort", "[3, -1, 4, -2, 5, 6]"),
+        ("verify", "--property", "parity", "--n", "3", "--samples", "5", "--seed", "2"),
+        ("verify", "--property", "parity", "--n", "3", "--exhaustive"),
+        ("parity", "[3, -1, 4, -2, 5, 6]"),
+        ("game", "[1,3,5,-2,-6,4]", "--rule", "misere"),
+        ("game", "[1,3,5,-2,-6,4]"),
+    ]
+    first = [run_cli(capsys, *argv) for argv in calls]
+    assert first[0] == (0, (GOLDEN / "graph_perm6.txt").read_text(), "")
+    assert "k+2m=" in first[1][1] and first[2][0] == 0 and "k+2m=" not in first[2][1]
+    assert "seed=2" in first[3][1] and "cases=48" in first[4][1]
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "[1, -5, -2, 4, -3, 6]", "--format", "png"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    again = [run_cli(capsys, *argv) for argv in reversed(calls)]
+    assert again[::-1] == first
+
+
 # ---------------------------------------------------------------------------
 # game
 
