@@ -11,12 +11,14 @@ unoriented vertices whose arc is not an adjacency -- [2, 1] has no component
 at all, no applicable move, and is not the identity -- so criterion and search
 can disagree.  Disagreements are reported, never hidden.
 
-Budgets bound the number of states a computation may visit: for the
+Every search spends one Tracker, one unit per state it visits: for the
 sortability decision, the positions of its witness run; for the exhaustive
-searches, the distinct states expanded.  Running out raises
-BudgetExceededError, except where a partial answer is meaningful:
-cdr_sortable_search returns (None, None) for "undecided" and
-enumerate_cdr_fixed_points returns a partial result flagged incomplete.
+searches, the distinct states expanded; for the games, the positions solved.
+Running out raises BudgetExceededError.  Two public wrappers turn it into a
+value, because a partial answer is meaningful there: cdr_sortable_search
+(and its reverse) returns (None, None) for "undecided", and
+enumerate_cdr_fixed_points lists the fixed points it resolved before the
+budget ran out, flagged incomplete.
 
 TheoremViolationError marks outcomes the structure theory rules out (a cdr
 fixed point of a sortable permutation that greedy cds cannot finish, a missing
@@ -59,7 +61,8 @@ class TheoremViolationError(RuntimeError):
 
 
 class Tracker:
-    """A budget of states, shared by the searches of one query or sweep."""
+    """The package's one budget: states (or game positions) a search may
+    visit, one unit each, shared by the searches of one query or sweep."""
 
     __slots__ = ("remaining",)
 
@@ -180,22 +183,27 @@ def cdr_sortable_search(p, budget: int = DEFAULT_BUDGET, *, reduce_adjacencies: 
     replay ends at the identity exactly when p is sortable, and then the
     replayed moves are the witness.
     """
-    entries = as_entries(p)
-    tracker = Tracker(budget)
     try:
-        tracker.spend()
-        g = build_overlap_graph(entries)
-        if has_unoriented_component(g):
-            return False, None
-        witness = graphmod.labels_at(g, _safe_ranks(g, tracker))
+        witness = _sorting_witness(as_entries(p), Tracker(budget))
     except BudgetExceededError:
         return None, None
+    if witness is None:
+        return False, None
+    return True, None if reduce_adjacencies else witness
+
+
+def _sorting_witness(entries: Entries, tracker: Tracker) -> tuple[int, ...] | None:
+    """The witness of cdr_sortable_search, or None when entries is not
+    cdr-sortable; spends once per position of the witness run."""
+    tracker.spend()
+    g = build_overlap_graph(entries)
+    if has_unoriented_component(g):
+        return None
+    witness = graphmod.labels_at(g, _safe_ranks(g, tracker))
     end = entries
     for i in witness:
         end = ops._apply_cdr(end, i)
-    if not is_identity(end):
-        return False, None
-    return True, None if reduce_adjacencies else witness
+    return witness if is_identity(end) else None
 
 
 def reverse_cdr_sortable_search(p, budget: int = DEFAULT_BUDGET, *,
@@ -252,46 +260,36 @@ def criterion_discrepancies(n: int, budget: int = DEFAULT_BUDGET):
 @dataclass(frozen=True)
 class FixedPointEnumeration:
     """Reachable cdr fixed points with the lengths of the runs reaching them.
-    When incomplete (budget ran out) the step counts degrade to first-visit
-    depths of a breadth-first sweep."""
+    When incomplete (the budget ran out), only the fixed points the search
+    had resolved are listed, each with its exact run length."""
 
     by_fixed_point: dict
     complete: bool
 
 
 def enumerate_cdr_fixed_points(p, budget: int = DEFAULT_BUDGET) -> FixedPointEnumeration:
+    """The cdr fixed points reachable from p, each with the lengths of the
+    runs reaching it, after one traversal of at most ``budget`` states.
+
+    When the budget runs out, a memo entry s is a fixed point exactly when s
+    is among its own reachable fixed points.  Every cdr run from p to s has
+    length rank(M_p) - rank(M_s) (see parity: each move lowers the rank by
+    one), so each such fixed point gets its one exact length.
+    """
     entries = as_entries(p)
+    memo: dict = {}
     try:
-        fps = fixed_point_masks(entries, {}, Tracker(budget))
+        fps = fixed_point_masks(entries, memo, Tracker(budget))
     except BudgetExceededError:
-        return FixedPointEnumeration(_bfs_fixed_points(entries, budget), complete=False)
+        rank = _rank(entries)
+        return FixedPointEnumeration(
+            {SignedPermutation(s): (rank - _rank(s),) for s, res in memo.items() if s in res},
+            complete=False,
+        )
     return FixedPointEnumeration(
         {SignedPermutation(fp): mask_lengths(mask) for fp, mask in fps.items()},
         complete=True,
     )
-
-
-def _bfs_fixed_points(entries: Entries, max_states: int) -> dict:
-    seen = {entries: 0}
-    frontier = [entries]
-    found: dict = {}
-    while frontier and len(seen) < max_states:
-        nxt = []
-        for state in frontier:
-            depth = seen[state]
-            moves = ops._cdr_moves(state)
-            if not moves:
-                found.setdefault(SignedPermutation(state), (depth,))
-                continue
-            for i in moves:
-                child = ops._apply_cdr(state, i)
-                if child not in seen:
-                    seen[child] = depth + 1
-                    nxt.append(child)
-                    if len(seen) >= max_states:
-                        break
-        frontier = nxt
-    return found
 
 
 def maximal_sequence_lengths(p, budget: int = DEFAULT_BUDGET) -> Counter:
@@ -316,8 +314,12 @@ def parity(p) -> str:
     even rank over GF(2).  So every maximal sequence has length rank(M) minus
     an even number, and the parity is rank(M) mod 2.
     """
-    rank = graphmod.gf2_rank(*graphmod.overlap_masks(as_entries(p)))
-    return "odd" if rank % 2 else "even"
+    return "odd" if _rank(as_entries(p)) % 2 else "even"
+
+
+def _rank(entries: Entries) -> int:
+    """rank over GF(2) of the overlap graph's M = A + D; see parity."""
+    return graphmod.gf2_rank(*graphmod.overlap_masks(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +400,7 @@ def verify_rescue(p, budget: int = DEFAULT_BUDGET) -> RescueReport:
     """For a cdr-sortable permutation, check that greedy cds finishes every
     reachable cdr fixed point."""
     perm = SignedPermutation(as_entries(p))
-    sortable, _ = cdr_sortable_search(perm, budget)
-    if sortable is None:
-        raise BudgetExceededError("sortability undecided within budget")
-    if not sortable:
+    if _sorting_witness(perm.entries, Tracker(budget)) is None:
         raise ValueError(f"{perm} is not cdr-sortable; the rescue property does not apply")
     enum = enumerate_cdr_fixed_points(perm, budget)
     goal = identity_entries(len(perm))
@@ -424,10 +423,8 @@ def cdr_steps(p, *, prefix_moves: Sequence[int] = (), budget: int = DEFAULT_BUDG
     sortability witness (all sorting runs have one length), before
     returning."""
     entries = as_entries(p)
-    sortable, witness = cdr_sortable_search(entries, budget)
-    if sortable is None:
-        raise BudgetExceededError("sortability undecided within budget")
-    if not sortable:
+    witness = _sorting_witness(entries, Tracker(budget))
+    if witness is None:
         raise ValueError(f"{SignedPermutation(entries)} is not cdr-sortable")
     sorting_length = len(witness)
     trace = indiscriminate_cdr_trace(entries, prefix_moves=prefix_moves)

@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=verify.DEFAULT_SWEEP_BUDGET)
+    p.add_argument("--budget", type=int, default=analysis.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("game", help="solve the gcdr game")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import graph as graphmod
-from .analysis import BudgetExceededError
+from .analysis import Tracker
 from .graph import OrientedGraph, build_overlap_graph, gcdr
 
 ONE = "ONE"
@@ -92,11 +92,11 @@ def winner_by_minimax(state: GameState, budget: int = DEFAULT_MINIMAX_BUDGET,
     and the outcome does not depend on the labels."""
     if memo is None:
         memo = {}
-    mover_wins = _minimax(*graphmod.masks(state.graph), state.rule, memo, budget)
+    mover_wins = _minimax(*graphmod.masks(state.graph), state.rule, memo, Tracker(budget))
     return state.to_move if mover_wins else _other(state.to_move)
 
 
-def _minimax(rows: tuple, ori: int, rule: str, memo: dict, budget: int) -> bool:
+def _minimax(rows: tuple, ori: int, rule: str, memo: dict, tracker: Tracker) -> bool:
     """Does the player to move win?  Depth-first over positions in increasing
     move order, stopping at the first winning move, with an explicit stack:
     a game lasts up to one move per vertex."""
@@ -104,14 +104,11 @@ def _minimax(rows: tuple, ori: int, rule: str, memo: dict, budget: int) -> bool:
 
     def enter(rows: tuple, ori: int) -> bool | None:
         """The known outcome of a position, or None after pushing its frame."""
-        nonlocal budget
         key = (rows, ori, rule)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if budget <= 0:
-            raise BudgetExceededError("minimax budget exhausted")
-        budget -= 1
+        tracker.spend()
         if not ori:
             memo[key] = res = rule == "misere"
             return res
@@ -147,21 +144,27 @@ def playout(state: GameState, moves: Sequence[int] | None = None) -> tuple[PlyRe
     """Play a full game and record it, one line-ready record per ply.  With
     moves=None both players greedily take the lowest legal vertex; otherwise
     the given vertices are played in order and must end the game."""
+    g = state.graph
+    rows, ori = graphmod.masks(g)
     records = []
-    ply = 0
+    player = state.to_move
     chosen = iter(moves) if moves is not None else None
-    while state.graph.oriented:
+    while ori:
         if chosen is None:
-            v = min(state.graph.oriented)
+            i = (ori & -ori).bit_length() - 1
+            v = graphmod.labels_at(g, (i,))[0]
         else:
             try:
                 v = next(chosen)
             except StopIteration:
                 raise IllegalMoveError("move list ended before the game did") from None
-        player = state.to_move
-        state = play(state, v)
-        ply += 1
-        records.append(PlyRecord(ply, player, v, len(state.graph.oriented)))
+            ranks = graphmod.ranks_of(g, (v,))
+            if ranks is None or not ori >> ranks[0] & 1:
+                raise IllegalMoveError(f"vertex {v} is not an oriented vertex of the current graph")
+            i = ranks[0]
+        rows, ori = graphmod.move(rows, ori, i)
+        records.append(PlyRecord(len(records) + 1, player, v, ori.bit_count()))
+        player = _other(player)
     if chosen is not None and next(chosen, None) is not None:
         raise IllegalMoveError("moves remain after the game ended")
     return tuple(records)

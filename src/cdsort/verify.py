@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import analysis, ops
 from . import graph as graphmod
-from .analysis import Tracker, mask_lengths
+from .analysis import DEFAULT_BUDGET, Tracker, mask_lengths
 from .graph import random_oriented_graph
 from .perm import (
     Entries,
@@ -41,9 +41,6 @@ from .perm import (
     identity_entries,
     random_signed_permutation,
 )
-
-DEFAULT_SWEEP_BUDGET = 10_000_000
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -195,7 +192,7 @@ def _sample_inputs(n: int, samples: int, seed: int) -> Iterator[Entries]:
 
 
 def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
-              seed: int = 0, budget: int = DEFAULT_SWEEP_BUDGET) -> SweepResult:
+              seed: int = 0, budget: int = DEFAULT_BUDGET) -> SweepResult:
     """Run one property sweep.  Exactly one of exhaustive/samples selects the
     input set; sample mode draws permutations of length n."""
     if prop not in _CHECKS:
@@ -218,7 +215,7 @@ def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
 
 
 def probe_total_sequence_lengths(num_graphs: int, max_vertices: int, seed: int,
-                                 budget: int = DEFAULT_SWEEP_BUDGET) -> list[str]:
+                                 budget: int = DEFAULT_BUDGET) -> list[str]:
     """On random oriented graphs, do all total sequences have one length?
     Returns descriptions of the graphs where they do not; expected empty.
 

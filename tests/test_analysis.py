@@ -23,8 +23,11 @@ from cdsort.analysis import (
     reverse_cdr_sortable_search,
     verify_rescue,
 )
+from cdsort.games import GameState, winner_by_minimax
+from cdsort.graph import build_overlap_graph
 from cdsort.ops import SortTrace, is_cdr_fixed_point
 from cdsort.perm import SignedPermutation, all_signed_permutations, fixtures, sigma, tau
+from cdsort.verify import probe_total_sequence_lengths, run_sweep
 
 from oracles import all_maximal_cdr_runs, cdr_run_lengths_to, cdr_sorting_run_lengths
 
@@ -399,12 +402,30 @@ def test_extend_to_total_length_matches_total_length():
 
 
 def test_budget_errors_are_loud():
+    # every budgeted entry point but the two wrappers that report exhaustion
+    # as a value (the sortability searches, enumerate_cdr_fixed_points)
     with pytest.raises(BudgetExceededError):
         cdr_sorting_lengths(U1, budget=5)
     with pytest.raises(BudgetExceededError):
         maximal_sequence_lengths(U1, budget=5)
     with pytest.raises(BudgetExceededError):
         verify_rescue(U1, budget=5)
+    with pytest.raises(BudgetExceededError):
+        cds_maximal_lengths(U1, budget=5)
+    with pytest.raises(BudgetExceededError):
+        cds_reachable_fixed_points(U1, budget=5)
+    with pytest.raises(BudgetExceededError):
+        criterion_discrepancies(3, budget=5)
+    with pytest.raises(BudgetExceededError):
+        cdr_steps(U1, budget=5)
+    with pytest.raises(BudgetExceededError):
+        extend_to_total(PI6, (5,), budget=1)
+    with pytest.raises(BudgetExceededError):
+        winner_by_minimax(GameState(build_overlap_graph(PI6)), budget=1)
+    with pytest.raises(BudgetExceededError):
+        run_sweep("parity", 3, exhaustive=True, budget=5)
+    with pytest.raises(BudgetExceededError):
+        probe_total_sequence_lengths(5, 6, seed=0, budget=1)
 
 
 # ---------------------------------------------------------------------------

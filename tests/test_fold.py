@@ -3,7 +3,9 @@
 ops._cdr_children must yield exactly the children that _cdr_moves and
 _apply_cdr give; every query built on analysis.fold must match the path-by-path
 enumeration of tests/oracles.py; and the fold must spend its budget once per
-distinct reachable state.
+distinct reachable state.  An enumeration that runs out of budget lists only
+fixed points of the complete answer, with their exact lengths, after
+expanding at most budget states.
 """
 from collections import Counter
 
@@ -109,3 +111,33 @@ def test_budget_is_one_unit_per_reachable_state(entries):
         query(entries, budget=cds_states)
         with pytest.raises(BudgetExceededError):
             query(entries, budget=cds_states - 1)
+
+
+def _expansions(monkeypatch) -> list:
+    """Count the states expanded: calls of the cdr move kernels."""
+    calls = []
+    for name in ("_cdr_children", "_cdr_moves"):
+        kernel = getattr(ops, name)
+
+        def counted(entries, kernel=kernel):
+            calls.append(entries)
+            return kernel(entries)
+
+        monkeypatch.setattr(ops, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("entries, budget", [
+    *((fixtures()["u_pisces_1"].entries, budget) for budget in (50, 1_000, 4_099)),
+    *((entries, len(reachable_states(entries, cdr_children)) - 1) for entries in BUDGET_CASES),
+])
+def test_incomplete_enumeration_lists_exact_fixed_points(entries, budget, monkeypatch):
+    complete = enumerate_cdr_fixed_points(entries).by_fixed_point
+    expanded = _expansions(monkeypatch)
+    enum = enumerate_cdr_fixed_points(entries, budget=budget)
+    assert not enum.complete
+    assert len(expanded) <= budget
+    for fp, lengths in enum.by_fixed_point.items():
+        assert lengths == complete[fp]
+    if budget == 50:
+        assert enum.by_fixed_point

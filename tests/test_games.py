@@ -160,3 +160,28 @@ def test_playout_with_explicit_moves():
         playout(state, moves=[2, 1])
     with pytest.raises(IllegalMoveError, match="after the game"):
         playout(state, moves=[2, 1, 5, 4])
+    for v in (3, 99):  # not oriented at its turn; not a vertex
+        with pytest.raises(IllegalMoveError, match=f"vertex {v} is not an oriented vertex"):
+            playout(state, moves=[v])
+
+
+def test_playout_matches_play_on_sparse_labels():
+    # labels far from their ranks, so a rank/label mix-up shows
+    rng = random.Random(5)
+    labels = (2, 3, 7, 40, 10**9)
+    for _ in range(100):
+        edges = [(u, v) for u in labels for v in labels if u < v and rng.random() < 0.5]
+        oriented = [v for v in labels if rng.random() < 0.6]
+        state = GameState(OrientedGraph(labels, edges, oriented), rng.choice((ONE, TWO)))
+        for greedy in (True, False):
+            expected = []
+            position = state
+            while position.graph.oriented:
+                v = min(position.graph.oriented) if greedy else rng.choice(
+                    legal_moves(position))
+                player = position.to_move
+                position = play(position, v)
+                expected.append((player, v, len(position.graph.oriented)))
+            moves = None if greedy else [v for _, v, _ in expected]
+            got = [(r.player, r.vertex, r.remaining) for r in playout(state, moves)]
+            assert got == expected
