@@ -2,10 +2,13 @@
 
 cdr-sortability is decided in polynomial time from the overlap graph: play
 greedy-safe moves to a total terminal and replay them as cdr moves (see
-cdr_sortable_search for why this is exact).  The exhaustive memoized search
-over the cdr move graph stays as the oracle: it backs the sorting-length,
-fixed-point and maximal-sequence queries, the property sweeps, and the tests
-that check the fast decision against it.  The overlap-graph criterion ("no
+cdr_sortable_search for why this is exact).  The exhaustive searches over
+the move graphs stay as the oracle, in two forms.  walk, an iterative
+pre-order walk, backs the queries that only need which states are reachable
+and at what depth: sorting lengths, cdr fixed points and cds fixed points.
+fold, a memoized recursion, backs the maximal-sequence and cds-length
+queries, criterion_discrepancies, the property sweeps, and the tests that
+check the fast decision against it.  The overlap-graph criterion ("no
 unoriented component") is exposed separately: it is silent about isolated
 unoriented vertices whose arc is not an adjacency -- [2, 1] has no component
 at all, no applicable move, and is not the identity -- so criterion and search
@@ -17,7 +20,7 @@ searches, the distinct states expanded; for the games, the positions solved.
 Running out raises BudgetExceededError.  Two public wrappers turn it into a
 value, because a partial answer is meaningful there: cdr_sortable_search
 (and its reverse) returns (None, None) for "undecided", and
-enumerate_cdr_fixed_points lists the fixed points it resolved before the
+enumerate_cdr_fixed_points lists the fixed points it reached before the
 budget ran out, flagged incomplete.
 
 TheoremViolationError marks outcomes the structure theory rules out (a cdr
@@ -76,8 +79,9 @@ class Tracker:
 
 
 # ---------------------------------------------------------------------------
-# the memoized fold over a move graph (the exhaustive oracle; the sweep runner
-# shares its memo tables between inputs)
+# the memoized fold and the reachability walk over a move graph (the
+# exhaustive oracles; the sweep runner shares the fold's memo tables between
+# inputs)
 #
 # Sets of run lengths are int bitmasks: bit k set means a run of length k.
 
@@ -92,6 +96,11 @@ def fold(entries: Entries, memo: dict, tracker: Tracker, children, leaf, combine
     recursion limit allows ends in RecursionError.  Every result must
     be truthy (a nonzero mask, a nonempty table): a child found in ``memo``
     is read without a call.
+
+    Its users are the queries that need more than which states are reachable
+    and at what depth: maximal_sequence_lengths (run counts),
+    cds_maximal_lengths, criterion_discrepancies, and the property sweeps,
+    which share one memo across their inputs.  The others use walk.
     """
     res = memo.get(entries)
     if res is None:
@@ -100,6 +109,46 @@ def fold(entries: Entries, memo: dict, tracker: Tracker, children, leaf, combine
                    for child in children(entries)]
         res = memo[entries] = combine(results) if results else leaf(entries)
     return res
+
+
+def walk(entries: Entries, tracker: Tracker, children, leaves: dict) -> None:
+    """Depth-first pre-order walk over the states reachable from ``entries``.
+
+    Each state spends one unit of ``tracker`` when the walk first enters it,
+    and a state without children is recorded in ``leaves`` as
+    state -> depth.  Children are entered in the order children(state) yields
+    them and a state already entered is skipped, so the walk spends, and
+    calls children, in the same order as fold on an empty memo.  The stack
+    holds one children iterator per level instead of one interpreter frame,
+    so a long run needs no recursion.  ``leaves`` belongs to the caller,
+    which can still read it after BudgetExceededError.
+
+    In the cdr move graph, every run from p to a state s has length
+    rank(M_p) - rank(M_s) (see parity), so the depth of a cdr fixed point
+    is the length of every run reaching it.
+    """
+    spend = tracker.spend
+    spend()
+    seen = {entries}
+    path = [entries]
+    stack = [children(entries)]
+    fresh = True  # the top iterator has yielded nothing yet
+    while stack:
+        for child in stack[-1]:
+            fresh = False
+            if child not in seen:
+                spend()
+                seen.add(child)
+                path.append(child)
+                stack.append(children(child))
+                fresh = True
+                break
+        else:
+            if fresh:
+                leaves[path[-1]] = len(path) - 1
+            path.pop()
+            stack.pop()
+            fresh = False
 
 
 def _extend_lengths(results: list) -> int:
@@ -224,8 +273,10 @@ def cdr_sorting_lengths(p, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Lengths of all cdr move sequences sorting p to the identity (empty when
     p is not cdr-sortable)."""
     entries = as_entries(p)
-    fps = fixed_point_masks(entries, {}, Tracker(budget))
-    return frozenset(mask_lengths(fps.get(identity_entries(len(entries)), 0)))
+    leaves: dict = {}
+    walk(entries, Tracker(budget), ops._cdr_children, leaves)
+    length = leaves.get(identity_entries(len(entries)))
+    return frozenset() if length is None else frozenset((length,))
 
 
 def cdr_sortable_criterion(p) -> bool:
@@ -261,7 +312,7 @@ def criterion_discrepancies(n: int, budget: int = DEFAULT_BUDGET):
 class FixedPointEnumeration:
     """Reachable cdr fixed points with the lengths of the runs reaching them.
     When incomplete (the budget ran out), only the fixed points the search
-    had resolved are listed, each with its exact run length."""
+    had reached are listed, each with its exact run length."""
 
     by_fixed_point: dict
     complete: bool
@@ -269,27 +320,21 @@ class FixedPointEnumeration:
 
 def enumerate_cdr_fixed_points(p, budget: int = DEFAULT_BUDGET) -> FixedPointEnumeration:
     """The cdr fixed points reachable from p, each with the lengths of the
-    runs reaching it, after one traversal of at most ``budget`` states.
+    runs reaching it, after one walk of at most ``budget`` states.
 
-    When the budget runs out, a memo entry s is a fixed point exactly when s
-    is among its own reachable fixed points.  Every cdr run from p to s has
-    length rank(M_p) - rank(M_s) (see parity: each move lowers the rank by
-    one), so each such fixed point gets its one exact length.
+    Every cdr run from p to s has length rank(M_p) - rank(M_s) (see parity:
+    each move lowers the rank by one), so each fixed point has one run
+    length, the depth at which the walk met it.  When the budget runs out,
+    the fixed points met so far are listed, each with that exact length.
     """
-    entries = as_entries(p)
-    memo: dict = {}
+    leaves: dict = {}
     try:
-        fps = fixed_point_masks(entries, memo, Tracker(budget))
+        walk(as_entries(p), Tracker(budget), ops._cdr_children, leaves)
+        complete = True
     except BudgetExceededError:
-        rank = _rank(entries)
-        return FixedPointEnumeration(
-            {SignedPermutation(s): (rank - _rank(s),) for s, res in memo.items() if s in res},
-            complete=False,
-        )
+        complete = False
     return FixedPointEnumeration(
-        {SignedPermutation(fp): mask_lengths(mask) for fp, mask in fps.items()},
-        complete=True,
-    )
+        {SignedPermutation(fp): (length,) for fp, length in leaves.items()}, complete)
 
 
 def maximal_sequence_lengths(p, budget: int = DEFAULT_BUDGET) -> Counter:
@@ -551,8 +596,6 @@ def cds_maximal_lengths(p, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
 
 def cds_reachable_fixed_points(p, budget: int = DEFAULT_BUDGET) -> frozenset[SignedPermutation]:
     """All cds fixed points reachable from p by any cds move sequence."""
-    return frozenset(
-        SignedPermutation(e)
-        for e in fold(as_entries(p), {}, Tracker(budget), ops._cds_children,
-                      lambda fp: frozenset((fp,)), lambda results: frozenset().union(*results))
-    )
+    leaves: dict = {}
+    walk(as_entries(p), Tracker(budget), ops._cds_children, leaves)
+    return frozenset(map(SignedPermutation, leaves))

@@ -249,7 +249,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, NotApplicableError, RecursionError,
             analysis.BudgetExceededError, analysis.TheoremViolationError) as exc:
-        # the exhaustive searches recurse once per move of a run
+        # maximal_sequence_lengths and the sweeps' fold recurse once per move
+        # of a run
         message = ("cdr runs from this input are too long for the exhaustive search"
                    if isinstance(exc, RecursionError) else exc)
         print(f"error: {message}", file=sys.stderr)

@@ -93,11 +93,11 @@ def _cdr_children(entries: Entries) -> Iterator[Entries]:
     One pass records each value's index and sign, and one more negates the
     reversed entries; each child is then three slices, because the block a cdr
     reverses and negates is a slice of that negated reversal.  A generator on
-    purpose: a memoized fold keeps one of these open per level of its run, and
-    a long permutation has about n/2 children of n entries per state, so
-    building them eagerly would hold about n^2 / 2 entries per level (for
-    n = 2000 and a run of a thousand levels, some 2 * 10^9) where a generator
-    holds three arrays of n.
+    purpose: analysis.fold and analysis.walk keep one of these open per level
+    of a run, and a long permutation has about n/2 children of n entries per
+    state, so building them eagerly would hold about n^2 / 2 entries per
+    level (for n = 2000 and a run of a thousand levels, some 2 * 10^9) where a
+    generator holds three arrays of n.
     """
     n = len(entries)
     at = [0] * (n + 1)

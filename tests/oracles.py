@@ -3,11 +3,16 @@
 These deliberately avoid the memoized dynamic programming used by the package:
 they enumerate entire move trees path by path, so they stay trustworthy as a
 cross-check even if the production search logic changes.  Only usable at toy
-sizes.
+sizes.  The one exception is the fold section, which keeps the memoized
+fold's answers to the queries now served by analysis.walk, budget behaviour
+included, as the reference for the walk.
 """
 from __future__ import annotations
 
+from cdsort import analysis, ops
+from cdsort.graph import gf2_rank, overlap_masks
 from cdsort.ops import _apply_cdr, _apply_cds, _arcs, _cdr_moves, _cds_moves, _interleave
+from cdsort.perm import SignedPermutation
 
 
 def all_maximal_cdr_runs(entries):
@@ -74,6 +79,43 @@ def cdr_sorting_run_lengths(entries):
 
 def cdr_run_lengths_to(entries, target):
     return {len(run) for run, final in all_maximal_cdr_runs(entries) if final == target}
+
+
+# ---------------------------------------------------------------------------
+# the queries that moved from analysis.fold onto analysis.walk, answered by
+# the fold as before the move: the reference the walk is checked against,
+# spending the same budget over the same states
+
+
+def fold_fixed_points(entries, budget=analysis.DEFAULT_BUDGET):
+    """enumerate_cdr_fixed_points by the fold.  When the budget runs out, it
+    lists the fixed points resolved in the fold's memo (a memo entry s is one
+    exactly when s is among its own fixed points), each at length
+    rank(M_p) - rank(M_s)."""
+    memo = {}
+    try:
+        fps = analysis.fixed_point_masks(entries, memo, analysis.Tracker(budget))
+    except analysis.BudgetExceededError:
+        rank = gf2_rank(*overlap_masks(entries))
+        return analysis.FixedPointEnumeration(
+            {SignedPermutation(s): (rank - gf2_rank(*overlap_masks(s)),)
+             for s, res in memo.items() if s in res},
+            complete=False,
+        )
+    return analysis.FixedPointEnumeration(
+        {SignedPermutation(fp): analysis.mask_lengths(mask) for fp, mask in fps.items()},
+        complete=True,
+    )
+
+
+def fold_cds_fixed_points(entries, budget=analysis.DEFAULT_BUDGET):
+    """cds_reachable_fixed_points by the fold."""
+    return frozenset(
+        SignedPermutation(e)
+        for e in analysis.fold(entries, {}, analysis.Tracker(budget), ops._cds_children,
+                               lambda fp: frozenset((fp,)),
+                               lambda results: frozenset().union(*results))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 
 from cdsort import games
 from cdsort.cli import main
-from cdsort.graph import graph_from_text, to_text
+from cdsort.graph import gf2_rank, graph_from_text, overlap_masks, to_text
 from cdsort.ops import SortTrace
-from cdsort.perm import fixtures
+from cdsort.perm import fixtures, parse_entries
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -341,12 +341,17 @@ def test_fixed_points_budget_flag(capsys):
     assert out.splitlines()[-1] == "incomplete (budget exhausted)"
 
 
-def test_fixed_points_on_deep_input_is_an_error_line(capsys):
-    # [1, -2, 3, ..., -2000]: its cdr runs are about 1000 moves long
-    deep = "[" + ", ".join(str(v if v % 2 else -v) for v in range(1, 2001)) + "]"
-    code, out, err = run_cli(capsys, "fixed-points", deep, "--budget", "100000")
-    assert code == 1 and out == ""
-    assert err == "error: cdr runs from this input are too long for the exhaustive search\n"
+def test_fixed_points_on_deep_input_answers(capsys):
+    # [1, -2, 3, ..., -2000]: the walk's first run reaches a fixed point after
+    # 1000 moves, so 1001 states cover that run and no more
+    deep = tuple(v if v % 2 else -v for v in range(1, 2001))
+    code, out, err = run_cli(capsys, "fixed-points", str(list(deep)), "--budget", "1001")
+    assert code == 0 and err == ""
+    line, status = out.splitlines()
+    assert status == "incomplete (budget exhausted)"
+    fp, _, steps = line.partition(" steps=")
+    assert steps == "1000"
+    assert gf2_rank(*overlap_masks(deep)) - gf2_rank(*overlap_masks(parse_entries(fp))) == 1000
 
 
 def test_fixtures_listing(capsys):

@@ -1,11 +1,19 @@
-"""The memoized move-graph fold and its cdr kernel against brute force.
+"""The move-graph fold, the reachability walk and the cdr kernel against
+brute force and against each other.
 
 ops._cdr_children must yield exactly the children that _cdr_moves and
-_apply_cdr give; every query built on analysis.fold must match the path-by-path
-enumeration of tests/oracles.py; and the fold must spend its budget once per
-distinct reachable state.  An enumeration that runs out of budget lists only
-fixed points of the complete answer, with their exact lengths, after
-expanding at most budget states.
+_apply_cdr give; every query built on analysis.fold or analysis.walk must
+match the path-by-path enumeration of tests/oracles.py; and both must spend
+their budget once per distinct reachable state.  An enumeration that runs out
+of budget lists only fixed points of the complete answer, with their exact
+lengths, after expanding at most budget states.
+
+The walk reports each cdr fixed point at the depth it first reached it, which
+is exact only because the cdr move graph is graded: every run from p to a
+fixed point s has length rank(M_p) - rank(M_s).  That lemma is checked here
+on every small input.  The walk must also expand the same states in the same
+order as the fold, so that its answers, its incomplete listings and its
+budget boundaries are the fold's (tests/oracles.py keeps the fold's answers).
 """
 from collections import Counter
 
@@ -23,7 +31,8 @@ from cdsort.analysis import (
     enumerate_cdr_fixed_points,
     maximal_sequence_lengths,
 )
-from cdsort.perm import SignedPermutation, all_signed_permutations, fixtures
+from cdsort.graph import gf2_rank, overlap_masks
+from cdsort.perm import SignedPermutation, all_signed_permutations, fixtures, identity_entries
 
 from oracles import (
     all_maximal_cdr_runs,
@@ -31,6 +40,8 @@ from oracles import (
     cdr_children,
     cdr_sorting_run_lengths,
     cds_children,
+    fold_cds_fixed_points,
+    fold_fixed_points,
     reachable_states,
 )
 
@@ -141,3 +152,63 @@ def test_incomplete_enumeration_lists_exact_fixed_points(entries, budget, monkey
         assert lengths == complete[fp]
     if budget == 50:
         assert enum.by_fixed_point
+
+
+def _listing(enum) -> tuple:
+    """An enumeration as its completeness and its items in order."""
+    return enum.complete, list(enum.by_fixed_point.items())
+
+
+def test_cdr_move_graph_is_graded():
+    memo: dict = {}
+    tracker = Tracker(analysis.DEFAULT_BUDGET)
+    for n in range(1, 7):
+        for entries in all_signed_permutations(n):
+            rank = gf2_rank(*overlap_masks(entries))
+            for fp, mask in analysis.fixed_point_masks(entries, memo, tracker).items():
+                assert mask == 1 << rank - gf2_rank(*overlap_masks(fp)), (entries, fp)
+
+
+def _fold_sorting_lengths(fold_enum, n) -> frozenset:
+    """cdr_sorting_lengths as the fold answers it: the run lengths of the
+    identity among the fold's fixed points."""
+    return frozenset(fold_enum.by_fixed_point.get(SignedPermutation(identity_entries(n)), ()))
+
+
+def test_walk_queries_match_fold_exhaustively(monkeypatch):
+    expanded = _expansions(monkeypatch)
+    for n in range(1, 7):
+        for entries in all_signed_permutations(n):
+            expanded.clear()
+            expected = fold_fixed_points(entries)
+            fold_order = expanded[:]
+            expanded.clear()
+            assert _listing(enumerate_cdr_fixed_points(entries)) == _listing(expected)
+            assert expanded == fold_order
+            assert cdr_sorting_lengths(entries) == _fold_sorting_lengths(expected, n)
+            if n <= 5:
+                assert cds_reachable_fixed_points(entries) == fold_cds_fixed_points(entries)
+
+
+@pytest.mark.parametrize("entries", BUDGET_CASES[1:])
+def test_partial_listing_matches_fold_at_every_budget(entries):
+    for budget in range(1, len(reachable_states(entries, cdr_children)) + 1):
+        assert _listing(enumerate_cdr_fixed_points(entries, budget)) == _listing(
+            fold_fixed_points(entries, budget))
+
+
+@pytest.mark.parametrize("budget", [10, 50, 100, 1_000, 4_099, 8_197])
+def test_partial_listing_matches_fold_on_u_pisces(budget):
+    entries = fixtures()["u_pisces_1"].entries
+    enum = enumerate_cdr_fixed_points(entries, budget)
+    assert not enum.complete
+    assert _listing(enum) == _listing(fold_fixed_points(entries, budget))
+
+
+@given(signed_perms(10), st.integers(1, 3_000))
+def test_walk_queries_match_fold(entries, budget):
+    assert _listing(enumerate_cdr_fixed_points(entries, budget)) == _listing(
+        fold_fixed_points(entries, budget))
+    assert cdr_sorting_lengths(entries) == _fold_sorting_lengths(
+        fold_fixed_points(entries), len(entries))
+    assert cds_reachable_fixed_points(entries) == fold_cds_fixed_points(entries)
