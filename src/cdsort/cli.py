@@ -249,8 +249,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, NotApplicableError, RecursionError,
             analysis.BudgetExceededError, analysis.TheoremViolationError) as exc:
-        # maximal_sequence_lengths and the sweeps' fold recurse once per move
-        # of a run
+        # verify's sweeps run analysis.fold, which recurses once per move of
+        # a run; no other command recurses per move
         message = ("cdr runs from this input are too long for the exhaustive search"
                    if isinstance(exc, RecursionError) else exc)
         print(f"error: {message}", file=sys.stderr)

@@ -98,34 +98,41 @@ def winner_by_minimax(state: GameState, budget: int = DEFAULT_MINIMAX_BUDGET,
 
 def _minimax(rows: tuple, ori: int, rule: str, memo: dict, tracker: Tracker) -> bool:
     """Does the player to move win?  Depth-first over positions in increasing
-    move order, stopping at the first winning move, with an explicit stack:
-    a game lasts up to one move per vertex."""
-    stack = []  # (position key, iterator over the moves not yet tried)
+    move order, stopping at the first winning move, in one loop over an
+    explicit stack: a game lasts up to one move per vertex.
 
-    def enter(rows: tuple, ori: int) -> bool | None:
-        """The known outcome of a position, or None after pushing its frame."""
-        key = (rows, ori, rule)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        tracker.spend()
-        if not ori:
-            memo[key] = res = rule == "misere"
+    A position not in memo spends one unit of tracker when it is first
+    reached.  A terminal is stored at once; any other position pushes a frame
+    [key, rows, ori, mask of the moves not yet tried] and is stored when its
+    frame pops.  The key (rows, ori, rule) is built once per position and
+    serves both the memo lookup and the store."""
+    misere = rule == "misere"
+    spend = tracker.spend
+    move = graphmod.move
+    stack = []
+    key = (rows, ori, rule)
+    res = memo.get(key)
+    while True:
+        if res is None:  # a position reached for the first time
+            spend()
+            if ori:
+                stack.append([key, rows, ori, ori])
+            else:
+                memo[key] = res = misere
+        if not stack:
             return res
-        stack.append((key, graphmod.bits(ori)))
-        return None
-
-    res = enter(rows, ori)
-    while stack:
-        key, moves = stack[-1]
+        frame = stack[-1]
+        untried = frame[3]
         # a move into a lost position wins, so the first one ends the search
-        i = None if res is False else next(moves, None)
-        if i is None:
-            memo[key] = res = res is False
+        if res is False or not untried:
+            memo[frame[0]] = res = res is False
             stack.pop()
             continue
-        res = enter(*graphmod.move(key[0], key[1], i))
-    return res
+        low = untried & -untried
+        frame[3] = untried ^ low
+        rows, ori = move(frame[1], frame[2], low.bit_length() - 1)
+        key = (rows, ori, rule)
+        res = memo.get(key)
 
 
 @dataclass(frozen=True)

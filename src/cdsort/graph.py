@@ -482,46 +482,60 @@ def is_total_terminal(g: OrientedGraph) -> bool:
 
 
 def to_text(g: OrientedGraph) -> str:
-    """Line-oriented form: one vertex line then one edge line per element,
-    deterministically ordered.  Parsed back by graph_from_text."""
+    """Line-oriented form: one vertex line per vertex, then one edge line per
+    edge (u, v) with u < v, both in increasing label order.  Each label is
+    formatted once, and a row's edge lines share one "edge (u,u+1) " prefix.
+    Parsed back by graph_from_text."""
     ori = g._ori
-    name = {v: _label(v) for v in g._labels}
-    lines = [
-        f"vertex {name[v]} {'oriented' if ori >> i & 1 else 'unoriented'}"
-        for i, v in enumerate(g._labels)
-    ]
-    lines += [f"edge {name[u]} {name[v]}" for u, v in g._edge_list()]
+    names = [_label(v) for v in g._labels]
+    lines = [f"vertex {name} {'oriented' if ori >> i & 1 else 'unoriented'}"
+             for i, name in enumerate(names)]
+    for i, row in enumerate(g._rows):
+        above = row >> (i + 1) << (i + 1)
+        if above:
+            prefix = f"edge {names[i]} "
+            lines += [prefix + names[j] for j in bits(above)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def graph_from_text(text: str) -> OrientedGraph:
-    """Parse the to_text form.  Blank lines and '#' comments are ignored."""
-    vertices = set()
-    edges = set()
-    oriented = set()
-    parsed: dict[str, int] = {}  # each distinct label is parsed once
+class _ParsedLabels(dict):
+    """Label token -> vertex, each distinct token parsed on first lookup."""
 
-    def label(token: str) -> int:
-        v = parsed.get(token)
-        if v is None:
-            v = parsed[token] = _parse_label(token)
+    def __missing__(self, token: str) -> int:
+        v = self[token] = _parse_label(token)
         return v
 
+
+def graph_from_text(text: str) -> OrientedGraph:
+    """Parse the to_text form.  Blank lines and '#' comments are ignored; the
+    lines may come in any order and may repeat, and a vertex is oriented when
+    any of its lines says so.
+
+    A line that is not "vertex LABEL oriented|unoriented" or
+    "edge LABEL LABEL", or a malformed label, raises ValueError at the first
+    such line.  Then an edge that is a self-loop or names an undeclared vertex
+    raises ValueError naming the first such edge in text order."""
+    vertices = set()
+    oriented = set()
+    edges = []
+    vertex_of = _ParsedLabels()
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if len(parts) == 3:
+            kind, a, b = parts
+            if kind == "edge":
+                edges.append((vertex_of[a], vertex_of[b]))
+                continue
+            if kind == "vertex" and b in ("oriented", "unoriented"):
+                v = vertex_of[a]
+                vertices.add(v)
+                if b == "oriented":
+                    oriented.add(v)
+                continue
+        elif not parts:
             continue
-        parts = line.split()
-        if parts[0] == "vertex" and len(parts) == 3 and parts[2] in ("oriented", "unoriented"):
-            v = label(parts[1])
-            vertices.add(v)
-            if parts[2] == "oriented":
-                oriented.add(v)
-        elif parts[0] == "edge" and len(parts) == 3:
-            edges.add((label(parts[1]), label(parts[2])))
-        else:
-            raise ValueError(f"line {ln}: cannot parse graph line {raw!r}")
-    return OrientedGraph(frozenset(vertices), frozenset(edges), frozenset(oriented))
+        raise ValueError(f"line {ln}: cannot parse graph line {raw!r}")
+    return OrientedGraph(vertices, edges, oriented)
 
 
 def to_dot(g: OrientedGraph) -> str:

@@ -5,12 +5,16 @@ they enumerate entire move trees path by path, so they stay trustworthy as a
 cross-check even if the production search logic changes.  Only usable at toy
 sizes.  The one exception is the fold section, which keeps the memoized
 fold's answers to the queries now served by analysis.walk, budget behaviour
-included, as the reference for the walk.
+included, as the reference for the walk; and the last section, which keeps
+the earlier minimax search and text form verbatim as the reference for their
+rewrites.
 """
 from __future__ import annotations
 
 from cdsort import analysis, ops
-from cdsort.graph import gf2_rank, overlap_masks
+from cdsort import graph as graphmod
+from cdsort.analysis import Tracker
+from cdsort.graph import OrientedGraph, _label, _parse_label, gf2_rank, overlap_masks
 from cdsort.ops import _apply_cdr, _apply_cds, _arcs, _cdr_moves, _cds_moves, _interleave
 from cdsort.perm import SignedPermutation
 
@@ -229,3 +233,84 @@ def playout_length_sets(graph):
         graph = gcdr_sets(graph, min(graph[2]))
         length += 1
     return length
+
+
+# ---------------------------------------------------------------------------
+# the game-tree search and the text form as they were before their flat
+# rewrites, kept verbatim: minimax with an enter closure and a bits iterator
+# per frame, to_text through the edge list, graph_from_text through sets
+
+
+def minimax_closure(rows: tuple, ori: int, rule: str, memo: dict, tracker: Tracker) -> bool:
+    """Does the player to move win?  Depth-first over positions in increasing
+    move order, stopping at the first winning move, with an explicit stack:
+    a game lasts up to one move per vertex."""
+    stack = []  # (position key, iterator over the moves not yet tried)
+
+    def enter(rows: tuple, ori: int) -> bool | None:
+        """The known outcome of a position, or None after pushing its frame."""
+        key = (rows, ori, rule)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        tracker.spend()
+        if not ori:
+            memo[key] = res = rule == "misere"
+            return res
+        stack.append((key, graphmod.bits(ori)))
+        return None
+
+    res = enter(rows, ori)
+    while stack:
+        key, moves = stack[-1]
+        # a move into a lost position wins, so the first one ends the search
+        i = None if res is False else next(moves, None)
+        if i is None:
+            memo[key] = res = res is False
+            stack.pop()
+            continue
+        res = enter(*graphmod.move(key[0], key[1], i))
+    return res
+
+
+def to_text_edge_list(g: OrientedGraph) -> str:
+    """Line-oriented form: one vertex line then one edge line per element,
+    deterministically ordered.  Parsed back by graph_from_text."""
+    ori = g._ori
+    name = {v: _label(v) for v in g._labels}
+    lines = [
+        f"vertex {name[v]} {'oriented' if ori >> i & 1 else 'unoriented'}"
+        for i, v in enumerate(g._labels)
+    ]
+    lines += [f"edge {name[u]} {name[v]}" for u, v in g._edge_list()]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def graph_from_text_sets(text: str) -> OrientedGraph:
+    """Parse the to_text form.  Blank lines and '#' comments are ignored."""
+    vertices = set()
+    edges = set()
+    oriented = set()
+    parsed: dict[str, int] = {}  # each distinct label is parsed once
+
+    def label(token: str) -> int:
+        v = parsed.get(token)
+        if v is None:
+            v = parsed[token] = _parse_label(token)
+        return v
+
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "vertex" and len(parts) == 3 and parts[2] in ("oriented", "unoriented"):
+            v = label(parts[1])
+            vertices.add(v)
+            if parts[2] == "oriented":
+                oriented.add(v)
+        elif parts[0] == "edge" and len(parts) == 3:
+            edges.add((label(parts[1]), label(parts[2])))
+        else:
+            raise ValueError(f"line {ln}: cannot parse graph line {raw!r}")
+    return OrientedGraph(frozenset(vertices), frozenset(edges), frozenset(oriented))

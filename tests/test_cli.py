@@ -182,6 +182,15 @@ def test_verify_exhaustive_rescue(capsys):
     assert "cases=384 failures=0" in out.splitlines()[-1]
 
 
+def test_verify_on_deep_input_is_an_error_line(capsys):
+    # the sweeps' fold recurses once per move, and a sample at n = 2000 has
+    # runs far longer than the recursion limit allows
+    code, out, err = run_cli(capsys, "verify", "--property", "parity", "--n", "2000",
+                             "--samples", "1")
+    assert code == 1 and out == ""
+    assert err == "error: cdr runs from this input are too long for the exhaustive search\n"
+
+
 def test_verify_requires_mode(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--property", "parity", "--n", "3"])

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from cdsort import graph as graphmod
+from cdsort.analysis import BudgetExceededError, Tracker
 from cdsort.games import (
     ONE,
     TWO,
     GameState,
     IllegalMoveError,
+    _minimax,
     legal_moves,
     play,
     playout,
@@ -22,6 +25,8 @@ from cdsort.graph import (
     random_oriented_graph,
 )
 from cdsort.perm import all_signed_permutations, sigma
+
+from oracles import minimax_closure
 
 PI6 = (1, 3, 5, -2, -6, 4)
 
@@ -185,3 +190,47 @@ def test_playout_matches_play_on_sparse_labels():
             moves = None if greedy else [v for _, v, _ in expected]
             got = [(r.player, r.vertex, r.remaining) for r in playout(state, moves)]
             assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# the flat minimax loop against the closure-based search it replaced
+
+
+def _solve(search, g, rule, memo, budget):
+    """(outcome or None on BudgetExceededError, budget left, memo items in
+    insertion order)."""
+    tracker = Tracker(budget)
+    try:
+        res = search(*graphmod.masks(g), rule, memo, tracker)
+    except BudgetExceededError:
+        res = None
+    return res, tracker.remaining, list(memo.items())
+
+
+def test_minimax_matches_closure_search_on_random_graphs():
+    rng = random.Random(17)
+    shared_new, shared_old = {}, {}
+    for _ in range(300):
+        g = random_oriented_graph(rng, rng.randint(0, 9), rng.choice((0.2, 0.5, 0.8)))
+        for rule in ("normal", "misere"):
+            fresh = _solve(_minimax, g, rule, {}, 10**6)
+            assert fresh == _solve(minimax_closure, g, rule, {}, 10**6)
+            assert fresh[0] is not None
+            assert (_solve(_minimax, g, rule, shared_new, 10**6)
+                    == _solve(minimax_closure, g, rule, shared_old, 10**6))
+
+
+def test_minimax_budget_boundaries_match_closure_search():
+    graphs = [build_overlap_graph((3, -8, -2, 5, 1, -7, 4, 6)),
+              random_oriented_graph(random.Random(5), 9),
+              OrientedGraph(range(1, 10), (), range(1, 10))]
+    for g in graphs:
+        for rule in ("normal", "misere"):
+            positions = len(_solve(_minimax, g, rule, {}, 10**6)[2])
+            outcomes = [_solve(_minimax, g, rule, {}, budget)
+                        for budget in range(positions + 1)]
+            assert outcomes == [_solve(minimax_closure, g, rule, {}, budget)
+                                for budget in range(positions + 1)]
+            # the budget counts the positions solved: one fewer is too few
+            assert outcomes[-1][0] is not None and outcomes[-1][1] == 0
+            assert outcomes[-2][0] is None

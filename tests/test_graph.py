@@ -326,6 +326,17 @@ def test_text_parse_rejects_bad_edge_label_after_good_ones(edge):
     assert str(info.value) == f"bad vertex label {bad!r}, expected \"(i,i+1)\""
 
 
+def test_text_parse_names_the_first_bad_edge_in_text_order():
+    loop, stray = "edge (2,3) (2,3)\n", "edge (1,2) (9,10)\n"
+    vertices = "vertex (1,2) oriented\nvertex (2,3) unoriented\n"
+    for text, message in [(loop + stray, "self-loop at vertex 2"),
+                          (stray + loop, "edge (1, 9) leaves the vertex set")]:
+        for placed in (vertices + text, text + vertices):
+            with pytest.raises(ValueError) as info:
+                graph_from_text(placed)
+            assert str(info.value) == message
+
+
 def test_text_parse_skips_comments():
     g = graph_from_text("# comment\nvertex (1,2) oriented\n\nvertex (2,3) unoriented\nedge (1,2) (2,3)\n")
     assert g.vertices == frozenset({1, 2})

@@ -1,6 +1,7 @@
 """Differential tests: the bitmask graph layer against the frozenset
 reference implementations in oracles.py."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from cdsort.analysis import classify_sequence, greedy_safe_total_sequence
 from cdsort.graph import (
     OrientedGraph,
     build_overlap_graph,
+    random_oriented_graph,
     component_report,
     gcdr,
     graph_from_text,
@@ -29,7 +31,9 @@ from oracles import (
     local_complement_sets,
     neighbors_sets,
     overlap_graph_sets,
+    graph_from_text_sets,
     playout_length_sets,
+    to_text_edge_list,
 )
 
 # labels far apart and out of step with their ranks, so a mix-up of label and
@@ -106,3 +110,100 @@ def test_masks_match_sets_on_larger_permutations(n, rnd):
     else:
         assert greedy_safe_total_sequence(entries) == expected
         assert classify_sequence(entries, expected) == "total"
+
+
+# ---------------------------------------------------------------------------
+# the text form against the versions it replaced (to_text through the edge
+# list, graph_from_text through sets)
+
+
+def random_graph(rng):
+    """A random graph on a random subset of LABELS, on 1..k, or an overlap
+    graph."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        verts = rng.sample(LABELS, rng.randint(0, len(LABELS)))
+        edges = [(u, v) for u, v in itertools.combinations(verts, 2) if rng.random() < 0.5]
+        return OrientedGraph(verts, edges, [v for v in verts if rng.random() < 0.5])
+    if kind == 1:
+        return random_oriented_graph(rng, rng.randint(0, 8), rng.random())
+    return build_overlap_graph(random_signed_permutation(rng, rng.randint(1, 12)))
+
+
+def test_to_text_matches_edge_list_version():
+    rng = random.Random(41)
+    assert to_text(OrientedGraph((), (), ())) == to_text_edge_list(OrientedGraph((), (), ())) == ""
+    for _ in range(500):
+        g = random_graph(rng)
+        assert to_text(g) == to_text_edge_list(g)
+
+
+def _name(v):
+    return f"({v},{v + 1})"
+
+
+def _bad_line(rng, g):
+    """A line with exactly one bad element."""
+    verts = sorted(g.vertices) or [5]
+    a, b = _name(rng.choice(verts)), _name(rng.choice(verts))
+    stray = _name(rng.choice([v for v in (1, 4, 8, 41, 999) if v not in g.vertices]))
+    bad_label = rng.choice(("(1,3)", "(x,2)", "1,2", "(2,3", "(-1,0)", "()", "(1,2)(2,3)"))
+    return rng.choice((
+        ("vertex", bad_label, rng.choice(("oriented", "unoriented"))),
+        ("edge", bad_label, a), ("edge", a, bad_label),                # bad label
+        ("vertex", a), ("edge", a), ("vertex", a, "oriented", "x"),     # token count
+        ("edge", a, b, a), ("edge",), ("oriented",),
+        ("node", a, "oriented"), ("Vertex", a, "oriented"), ("edges", a, b),  # keyword
+        ("vertex", a, "Oriented"), ("vertex", a, "odd"), ("vertex", a, a),    # orientation
+        ("edge", a, a),                                                 # self-loop
+        ("edge", a, stray), ("edge", stray, a),                         # undeclared vertex
+    ))
+
+
+def graph_text(rng, g, bad):
+    """The lines of g in random order, edges either way round, some repeated
+    (a repeated vertex line may say unoriented), with comments, blank and
+    whitespace-only lines, mixed separators and line ends, and with one bad
+    line when bad is set."""
+    oriented = g.oriented
+    lines = [("vertex", _name(v), "oriented" if v in oriented else "unoriented")
+             for v in g.vertices]
+    lines += [("edge", _name(u), _name(v)) if rng.random() < 0.5 else ("edge", _name(v), _name(u))
+              for u, v in g.edges]
+    lines += rng.sample(lines, min(len(lines), rng.randint(0, 3)))
+    lines += [("vertex", _name(v), "unoriented") for v in oriented if rng.random() < 0.2]
+    if bad:
+        lines.append(_bad_line(rng, g))
+    lines += [()] * rng.randint(0, 3)
+    rng.shuffle(lines)
+    out = []
+    for tokens in lines:
+        line = rng.choice((" ", "\t", "  ", "\xa0")).join(tokens)
+        if tokens and rng.random() < 0.3:
+            line = rng.choice(("", " ", "\t")) + line + rng.choice(("", " ", "\t "))
+        if rng.random() < 0.2:
+            line += rng.choice(("#", " # note", "\t#edge (1,2) (1,2)", "# vertex (0,1) odd"))
+        out.append(line + rng.choice(("\n", "\n", "\r\n", "\r")))
+    text = "".join(out)
+    return text if rng.random() < 0.8 else text.rstrip("\r\n")
+
+
+def _parse(parser, text):
+    try:
+        return parser(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_graph_from_text_matches_sets_version():
+    rng = random.Random(43)
+    for case in range(3000):
+        g = random_graph(rng)
+        bad = case % 2 == 1
+        text = graph_text(rng, g, bad)
+        parsed = _parse(graph_from_text, text)
+        assert parsed == _parse(graph_from_text_sets, text), text
+        if bad:
+            assert isinstance(parsed, tuple), text
+        else:
+            assert parsed == g, text
