@@ -2,26 +2,28 @@
 
 cdr-sortability is decided in polynomial time from the overlap graph: play
 greedy-safe moves to a total terminal and replay them as cdr moves (see
-cdr_sortable_search for why this is exact).  The exhaustive searches over
-the move graphs stay as the oracle, in two forms.  walk, an iterative
-pre-order walk, backs the queries that only need which states are reachable
-and at what depth: sorting lengths, cdr fixed points and cds fixed points.
-fold, a memoized recursion, backs the maximal-sequence and cds-length
-queries, criterion_discrepancies, the property sweeps, and the tests that
-check the fast decision against it.  The overlap-graph criterion ("no
-unoriented component") is exposed separately: it is silent about isolated
-unoriented vertices whose arc is not an adjacency -- [2, 1] has no component
-at all, no applicable move, and is not the identity -- so criterion and search
-can disagree.  Disagreements are reported, never hidden.
+cdr_sortable_search for why this is exact).  Every sorting run has one
+length, so the sorting lengths are the length of that witness.  The
+exhaustive searches over the move graphs stay as the oracle, in two forms.
+walk, an iterative pre-order walk, backs the queries that only need which
+fixed points are reachable and at what depth: cdr fixed points and cds fixed
+points.  fold, a memoized recursion, backs the maximal-sequence and
+cds-length queries, criterion_discrepancies, the property sweeps, and the
+tests that check the fast decision against it.  The overlap-graph criterion
+("no unoriented component") is exposed separately: it is silent about
+isolated unoriented vertices whose arc is not an adjacency -- [2, 1] has no
+component at all, no applicable move, and is not the identity -- so
+criterion and search can disagree.  Disagreements are reported, never
+hidden.
 
 Every search spends one Tracker, one unit per state it visits: for the
-sortability decision, the positions of its witness run; for the exhaustive
-searches, the distinct states expanded; for the games, the positions solved.
-Running out raises BudgetExceededError.  Two public wrappers turn it into a
-value, because a partial answer is meaningful there: cdr_sortable_search
-(and its reverse) returns (None, None) for "undecided", and
-enumerate_cdr_fixed_points lists the fixed points it reached before the
-budget ran out, flagged incomplete.
+sortability decision and the sorting lengths, the positions of the witness
+run; for the exhaustive searches, the distinct states expanded; for the
+games, the positions solved.  Running out raises BudgetExceededError.  Two
+public wrappers turn it into a value, because a partial answer is meaningful
+there: cdr_sortable_search (and its reverse) returns (None, None) for
+"undecided", and enumerate_cdr_fixed_points lists the fixed points it
+reached before the budget ran out, flagged incomplete.
 
 TheoremViolationError marks outcomes the structure theory rules out (a cdr
 fixed point of a sortable permutation that greedy cds cannot finish, a missing
@@ -121,7 +123,9 @@ def walk(entries: Entries, tracker: Tracker, children, leaves: dict) -> None:
     calls children, in the same order as fold on an empty memo.  The stack
     holds one children iterator per level instead of one interpreter frame,
     so a long run needs no recursion.  ``leaves`` belongs to the caller,
-    which can still read it after BudgetExceededError.
+    which can still read it after BudgetExceededError.  Its users are the
+    fixed-point queries: enumerate_cdr_fixed_points and
+    cds_reachable_fixed_points.
 
     In the cdr move graph, every run from p to a state s has length
     rank(M_p) - rank(M_s) (see parity), so the depth of a cdr fixed point
@@ -271,12 +275,13 @@ def reverse_cdr_sortable_search(p, budget: int = DEFAULT_BUDGET, *,
 
 def cdr_sorting_lengths(p, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Lengths of all cdr move sequences sorting p to the identity (empty when
-    p is not cdr-sortable)."""
-    entries = as_entries(p)
-    leaves: dict = {}
-    walk(entries, Tracker(budget), ops._cdr_children, leaves)
-    length = leaves.get(identity_entries(len(entries)))
-    return frozenset() if length is None else frozenset((length,))
+    p is not cdr-sortable).
+
+    Every run from p to the identity has length rank(M_p) (see parity), so
+    the answer is the length of the cdr_sortable_search witness, and the
+    budget counts the positions of the witness run as it does there."""
+    witness = _sorting_witness(as_entries(p), Tracker(budget))
+    return frozenset() if witness is None else frozenset((len(witness),))
 
 
 def cdr_sortable_criterion(p) -> bool:
@@ -537,10 +542,11 @@ def _safe_ranks(g: graphmod.OrientedGraph, tracker: Tracker) -> list[int]:
 
 def extend_to_total(p, maxseq: Sequence[int], budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Extend a maximal-but-not-total pointer sequence to a total one by
-    inserting one even-length run of vertices before a suffix.  Searches
-    insertion sizes small-first, insertion points left-first, vertex choices
-    in increasing order; the first extension found is returned.  A total input
-    is returned unchanged."""
+    inserting one even-length run of vertices before a suffix.  Every total
+    sequence has length rank(M) (see parity), so the run has rank(M) minus
+    len(maxseq) vertices.  Searches insertion points left-first, vertex
+    choices in increasing order; the first extension found is returned.  A
+    total input is returned unchanged."""
     maxseq = tuple(maxseq)
     kind = classify_sequence(p, maxseq)
     if kind == "total":
@@ -559,13 +565,11 @@ def extend_to_total(p, maxseq: Sequence[int], budget: int = DEFAULT_BUDGET) -> t
         position = graphmod.move(*position, i)
         prefixes.append(position)
     tracker = Tracker(budget)
-    n_vertices = len(g0.vertices)
-    m = len(maxseq)
-    for k in range(1, (n_vertices - m) // 2 + 1):
-        for cut_at in range(m):
-            inserted = _insertion_dfs(*prefixes[cut_at], 2 * k, ranks[cut_at:], tracker)
-            if inserted is not None:
-                return maxseq[:cut_at] + graphmod.labels_at(g0, inserted) + maxseq[cut_at:]
+    depth = graphmod.gf2_rank(*prefixes[0]) - len(maxseq)
+    for cut_at in range(len(maxseq)):
+        inserted = _insertion_dfs(*prefixes[cut_at], depth, ranks[cut_at:], tracker)
+        if inserted is not None:
+            return maxseq[:cut_at] + graphmod.labels_at(g0, inserted) + maxseq[cut_at:]
     raise TheoremViolationError(
         f"no even insertion extends {maxseq} to a total sequence"
     )

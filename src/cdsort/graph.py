@@ -271,10 +271,6 @@ class OrientedGraph:
         g._set(labels, index, rows, ori)
         return g
 
-    def _derive(self, rows: list, ori: int) -> "OrientedGraph":
-        """A graph on the same labels with new masks."""
-        return OrientedGraph._from_masks(self._labels, self._index, tuple(rows), ori)
-
     def _labels_of(self, mask: int) -> list[int]:
         labels = self._labels
         return [labels[i] for i in bits(mask)]
@@ -379,36 +375,27 @@ def local_complement(g: OrientedGraph, s: Iterable[int]) -> OrientedGraph:
     rows = list(g._rows)
     for j in bits(mask):
         rows[j] ^= mask ^ (1 << j)
-    return g._derive(rows, g._ori ^ mask)
-
-
-def _oriented_rank(g: OrientedGraph, v: int) -> int | None:
-    """Rank of v when it is oriented, None when it is not; ValueError when v
-    is not a vertex."""
-    i = g._index.get(v)
-    if i is None:
-        raise ValueError(f"vertex {v} not in graph")
-    return i if g._ori >> i & 1 else None
+    return OrientedGraph._from_masks(g._labels, index, tuple(rows), g._ori ^ mask)
 
 
 def gcdr(g: OrientedGraph, v: int) -> OrientedGraph:
     """Local complementation at the closed neighborhood of the oriented vertex
     v.  Afterwards v is unoriented and isolated.  Raises NotApplicableError on
     an unoriented v; see try_gcdr for the lenient form."""
-    i = _oriented_rank(g, v)
+    i = g._index.get(v)
     if i is None:
+        raise ValueError(f"vertex {v} not in graph")
+    if not g._ori >> i & 1:
         raise NotApplicableError(f"gcdr at {v}: vertex is not oriented")
-    rows = list(g._rows)
-    return g._derive(rows, _gcdr_masks(rows, g._ori, i))
+    return OrientedGraph._from_masks(g._labels, g._index, *move(g._rows, g._ori, i))
 
 
 def try_gcdr(g: OrientedGraph, v: int) -> tuple[OrientedGraph, bool]:
     """Lenient gcdr: unoriented vertices leave the graph unchanged."""
-    i = _oriented_rank(g, v)
-    if i is None:
+    try:
+        return gcdr(g, v), True
+    except NotApplicableError:
         return g, False
-    rows = list(g._rows)
-    return g._derive(rows, _gcdr_masks(rows, g._ori, i)), True
 
 
 def apply_gcdr_sequence(g: OrientedGraph, seq: Iterable[int]) -> OrientedGraph:
@@ -420,11 +407,8 @@ def apply_gcdr_sequence(g: OrientedGraph, seq: Iterable[int]) -> OrientedGraph:
 
 def is_oriented_sequence(g: OrientedGraph, seq: Iterable[int]) -> bool:
     """True when each vertex of seq is oriented at its turn."""
-    for v in seq:
-        if not g.is_oriented(v):
-            return False
-        g = gcdr(g, v)
-    return True
+    ranks = ranks_of(g, seq)
+    return ranks is not None and play_ranks(g._rows, g._ori, ranks) is not None
 
 
 @dataclass(frozen=True)
@@ -481,20 +465,29 @@ def is_total_terminal(g: OrientedGraph) -> bool:
 # serialization
 
 
-def to_text(g: OrientedGraph) -> str:
-    """Line-oriented form: one vertex line per vertex, then one edge line per
-    edge (u, v) with u < v, both in increasing label order.  Each label is
-    formatted once, and a row's edge lines share one "edge (u,u+1) " prefix.
-    Parsed back by graph_from_text."""
+def _graph_lines(g: OrientedGraph, name: str, vertex: tuple[str, str], edge: str,
+                 end: str = "") -> list[str]:
+    """The vertex lines of g, then one line per edge (u, v) with u < v, both
+    in increasing label order.  Each label is formatted once, into name.  A
+    vertex line is vertex[1] (oriented) or vertex[0] (unoriented) with its
+    name; an edge line is edge with u's name, then v's name and end, so a
+    row's edge lines share one prefix."""
     ori = g._ori
-    names = [_label(v) for v in g._labels]
-    lines = [f"vertex {name} {'oriented' if ori >> i & 1 else 'unoriented'}"
-             for i, name in enumerate(names)]
+    names = [name.format(_label(v)) for v in g._labels]
+    lines = [vertex[ori >> i & 1].format(nm) for i, nm in enumerate(names)]
     for i, row in enumerate(g._rows):
         above = row >> (i + 1) << (i + 1)
         if above:
-            prefix = f"edge {names[i]} "
-            lines += [prefix + names[j] for j in bits(above)]
+            prefix = edge.format(names[i])
+            lines += [prefix + names[j] + end for j in bits(above)]
+    return lines
+
+
+def to_text(g: OrientedGraph) -> str:
+    """Line-oriented form: one vertex line per vertex, then one edge line per
+    edge (u, v) with u < v, both in increasing label order.  Parsed back by
+    graph_from_text."""
+    lines = _graph_lines(g, "{}", ("vertex {} unoriented", "vertex {} oriented"), "edge {} ")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -513,42 +506,39 @@ def graph_from_text(text: str) -> OrientedGraph:
 
     A line that is not "vertex LABEL oriented|unoriented" or
     "edge LABEL LABEL", or a malformed label, raises ValueError at the first
-    such line.  Then an edge that is a self-loop or names an undeclared vertex
-    raises ValueError naming the first such edge in text order."""
+    such line, its message starting "line N: ".  Then an edge that is a
+    self-loop or names an undeclared vertex raises ValueError naming the
+    first such edge in text order."""
     vertices = set()
     oriented = set()
     edges = []
     vertex_of = _ParsedLabels()
     for ln, raw in enumerate(text.splitlines(), 1):
         parts = raw.split("#", 1)[0].split()
-        if len(parts) == 3:
-            kind, a, b = parts
-            if kind == "edge":
-                edges.append((vertex_of[a], vertex_of[b]))
+        try:
+            if len(parts) == 3:
+                kind, a, b = parts
+                if kind == "edge":
+                    edges.append((vertex_of[a], vertex_of[b]))
+                    continue
+                if kind == "vertex" and b in ("oriented", "unoriented"):
+                    v = vertex_of[a]
+                    vertices.add(v)
+                    if b == "oriented":
+                        oriented.add(v)
+                    continue
+            elif not parts:
                 continue
-            if kind == "vertex" and b in ("oriented", "unoriented"):
-                v = vertex_of[a]
-                vertices.add(v)
-                if b == "oriented":
-                    oriented.add(v)
-                continue
-        elif not parts:
-            continue
+        except ValueError as exc:  # a malformed label
+            raise ValueError(f"line {ln}: {exc}") from None
         raise ValueError(f"line {ln}: cannot parse graph line {raw!r}")
     return OrientedGraph(vertices, edges, oriented)
 
 
 def to_dot(g: OrientedGraph) -> str:
     """Graphviz form; oriented vertices get style=filled."""
-    lines = ["graph overlap {", "  node [shape=circle];"]
-    ori = g._ori
-    for i, v in enumerate(g._labels):
-        attr = " [style=filled]" if ori >> i & 1 else ""
-        lines.append(f'  "{_label(v)}"{attr};')
-    for u, v in g._edge_list():
-        lines.append(f'  "{_label(u)}" -- "{_label(v)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = _graph_lines(g, '"{}"', ("  {};", "  {} [style=filled];"), "  {} -- ", ";")
+    return "\n".join(["graph overlap {", "  node [shape=circle];", *lines, "}\n"])
 
 
 def random_oriented_graph(rng: random.Random, n_vertices: int,

@@ -42,6 +42,18 @@ def _check_pointer(n: int, i: int) -> None:
         raise ValueError(f"pointer {i} out of range 1..{n - 1}")
 
 
+def _cds_entries(p, i: int, j: int) -> Entries:
+    """The entries of p, after the checks of a cds at pointers i and j: i in
+    range, then j, then that they differ."""
+    entries = as_entries(p)
+    n = len(entries)
+    _check_pointer(n, i)
+    _check_pointer(n, j)
+    if i == j:
+        raise ValueError(f"cds needs two distinct pointers, got {i} twice")
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # kernels on raw entries tuples
 
@@ -243,9 +255,8 @@ def apply_cdr(p, i: int) -> SignedPermutation:
 def try_apply_cdr(p, i: int) -> tuple[SignedPermutation, bool]:
     """Lenient cdr: (result, True) when applicable, (input, False) otherwise."""
     entries = as_entries(p)
-    _check_pointer(len(entries), i)
     try:
-        return SignedPermutation(_apply_cdr(entries, i)), True
+        return apply_cdr(entries, i), True
     except NotApplicableError:
         return SignedPermutation(entries), False
 
@@ -259,13 +270,7 @@ def cds_applicable(p, i: int, j: int) -> bool:
     >>> cds_applicable((1, 2, 3, 4), 1, 3)
     False
     """
-    entries = as_entries(p)
-    n = len(entries)
-    _check_pointer(n, i)
-    _check_pointer(n, j)
-    if i == j:
-        raise ValueError(f"cds needs two distinct pointers, got {i} twice")
-    arcs = _arcs(entries)
+    arcs = _arcs(_cds_entries(p, i, j))
     k1, k2, _, _, homog_i = arcs[i - 1]
     l1, l2, _, _, homog_j = arcs[j - 1]
     return homog_i and homog_j and _interleave(k1, k2, l1, l2)
@@ -277,25 +282,14 @@ def apply_cds(p, i: int, j: int) -> SignedPermutation:
     >>> apply_cds((3, 6, 5, 2, 4, 8, 1, 7), 3, 6).entries
     (3, 4, 8, 1, 5, 2, 6, 7)
     """
-    entries = as_entries(p)
-    n = len(entries)
-    _check_pointer(n, i)
-    _check_pointer(n, j)
-    if i == j:
-        raise ValueError(f"cds needs two distinct pointers, got {i} twice")
-    return SignedPermutation(_apply_cds(entries, min(i, j), max(i, j)))
+    return SignedPermutation(_apply_cds(_cds_entries(p, i, j), min(i, j), max(i, j)))
 
 
 def try_apply_cds(p, i: int, j: int) -> tuple[SignedPermutation, bool]:
     """Lenient cds: (result, True) when applicable, (input, False) otherwise."""
     entries = as_entries(p)
-    n = len(entries)
-    _check_pointer(n, i)
-    _check_pointer(n, j)
-    if i == j:
-        raise ValueError(f"cds needs two distinct pointers, got {i} twice")
     try:
-        return SignedPermutation(_apply_cds(entries, min(i, j), max(i, j))), True
+        return apply_cds(entries, i, j), True
     except NotApplicableError:
         return SignedPermutation(entries), False
 

@@ -5,18 +5,32 @@ they enumerate entire move trees path by path, so they stay trustworthy as a
 cross-check even if the production search logic changes.  Only usable at toy
 sizes.  The one exception is the fold section, which keeps the memoized
 fold's answers to the queries now served by analysis.walk, budget behaviour
-included, as the reference for the walk; and the last section, which keeps
-the earlier minimax search and text form verbatim as the reference for their
-rewrites.
+included, as the reference for the walk; and the last two sections, which
+keep earlier versions verbatim as the reference for their rewrites: the
+minimax search, the text and DOT forms, the oriented-sequence check and the
+total extension.
 """
 from __future__ import annotations
 
 from cdsort import analysis, ops
 from cdsort import graph as graphmod
-from cdsort.analysis import Tracker
-from cdsort.graph import OrientedGraph, _label, _parse_label, gf2_rank, overlap_masks
+from cdsort.analysis import (
+    TheoremViolationError,
+    Tracker,
+    _insertion_dfs,
+    classify_sequence,
+)
+from cdsort.graph import (
+    OrientedGraph,
+    _label,
+    _parse_label,
+    build_overlap_graph,
+    gcdr,
+    gf2_rank,
+    overlap_masks,
+)
 from cdsort.ops import _apply_cdr, _apply_cds, _arcs, _cdr_moves, _cds_moves, _interleave
-from cdsort.perm import SignedPermutation
+from cdsort.perm import SignedPermutation, as_entries
 
 
 def all_maximal_cdr_runs(entries):
@@ -314,3 +328,67 @@ def graph_from_text_sets(text: str) -> OrientedGraph:
         else:
             raise ValueError(f"line {ln}: cannot parse graph line {raw!r}")
     return OrientedGraph(frozenset(vertices), frozenset(edges), frozenset(oriented))
+
+
+# ---------------------------------------------------------------------------
+# DOT through the edge list, the oriented-sequence check through one graph
+# per step, and the total extension over every even insertion size, kept
+# verbatim as they were before the public layer dropped its second paths
+
+
+def to_dot_edge_list(g: OrientedGraph) -> str:
+    """Graphviz form; oriented vertices get style=filled."""
+    lines = ["graph overlap {", "  node [shape=circle];"]
+    ori = g._ori
+    for i, v in enumerate(g._labels):
+        attr = " [style=filled]" if ori >> i & 1 else ""
+        lines.append(f'  "{_label(v)}"{attr};')
+    for u, v in g._edge_list():
+        lines.append(f'  "{_label(u)}" -- "{_label(v)}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def is_oriented_sequence_by_gcdr(g: OrientedGraph, seq) -> bool:
+    """True when each vertex of seq is oriented at its turn."""
+    for v in seq:
+        if not g.is_oriented(v):
+            return False
+        g = gcdr(g, v)
+    return True
+
+
+def extend_to_total_by_sizes(p, maxseq, budget=analysis.DEFAULT_BUDGET):
+    """Extend a maximal-but-not-total pointer sequence to a total one by
+    inserting one even-length run of vertices before a suffix.  Searches
+    insertion sizes small-first, insertion points left-first, vertex choices
+    in increasing order; the first extension found is returned.  A total input
+    is returned unchanged."""
+    maxseq = tuple(maxseq)
+    kind = classify_sequence(p, maxseq)
+    if kind == "total":
+        return maxseq
+    if kind != "maximal":
+        raise ValueError(f"sequence {maxseq} is {kind}, not maximal, for {SignedPermutation(as_entries(p))}")
+    if not maxseq:
+        # maximal-and-empty means no oriented vertex at all, yet edges remain:
+        # an unoriented component, outside this operation's remit
+        raise ValueError("graph has no oriented vertex; nothing can extend the empty sequence")
+    g0 = build_overlap_graph(p)
+    ranks = graphmod.ranks_of(g0, maxseq)
+    position = graphmod.masks(g0)
+    prefixes = [position]
+    for i in ranks:
+        position = graphmod.move(*position, i)
+        prefixes.append(position)
+    tracker = Tracker(budget)
+    n_vertices = len(g0.vertices)
+    m = len(maxseq)
+    for k in range(1, (n_vertices - m) // 2 + 1):
+        for cut_at in range(m):
+            inserted = _insertion_dfs(*prefixes[cut_at], 2 * k, ranks[cut_at:], tracker)
+            if inserted is not None:
+                return maxseq[:cut_at] + graphmod.labels_at(g0, inserted) + maxseq[cut_at:]
+    raise TheoremViolationError(
+        f"no even insertion extends {maxseq} to a total sequence"
+    )

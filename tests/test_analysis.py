@@ -1,9 +1,11 @@
+import random
 from collections import Counter
 
 import pytest
 
 from cdsort.analysis import (
     BudgetExceededError,
+    Tracker,
     cdr_sortable_criterion,
     cdr_sortable_search,
     cdr_sorting_lengths,
@@ -24,12 +26,24 @@ from cdsort.analysis import (
     verify_rescue,
 )
 from cdsort.games import GameState, winner_by_minimax
-from cdsort.graph import build_overlap_graph
+from cdsort.graph import build_overlap_graph, gcdr
 from cdsort.ops import SortTrace, is_cdr_fixed_point
-from cdsort.perm import SignedPermutation, all_signed_permutations, fixtures, sigma, tau
+from cdsort.perm import (
+    SignedPermutation,
+    all_signed_permutations,
+    fixtures,
+    random_signed_permutation,
+    sigma,
+    tau,
+)
 from cdsort.verify import probe_total_sequence_lengths, run_sweep
 
-from oracles import all_maximal_cdr_runs, cdr_run_lengths_to, cdr_sorting_run_lengths
+from oracles import (
+    all_maximal_cdr_runs,
+    cdr_run_lengths_to,
+    cdr_sorting_run_lengths,
+    extend_to_total_by_sizes,
+)
 
 U1 = fixtures()["u_pisces_1"]
 ONOVA = fixtures()["o_nova_actin1"]
@@ -399,6 +413,82 @@ def test_extend_to_total_length_matches_total_length():
         assert classify_sequence(entries, extended) == "total"
         assert len(extended) == total_length
         assert (len(extended) - len(seq)) % 2 == 0
+
+
+def _terminal_sequences(g, prefix=()):
+    """Every sequence of g's vertices, each oriented at its turn, that ends
+    with no oriented vertex left (maximal or total)."""
+    if not g.oriented:
+        yield prefix
+    for v in sorted(g.oriented):
+        yield from _terminal_sequences(gcdr(g, v), prefix + (v,))
+
+
+def _random_terminal_sequence(rng, g):
+    seq = []
+    while g.oriented:
+        seq.append(rng.choice(sorted(g.oriented)))
+        g = gcdr(g, seq[-1])
+    return tuple(seq)
+
+
+def _extend_outcome(extend, entries, seq):
+    try:
+        return extend(entries, seq)
+    except Exception as exc:
+        return type(exc)
+
+
+def _counted_extensions(monkeypatch):
+    """Count the budget units spent by each call, through Tracker.spend."""
+    spent = []
+    spend = Tracker.spend
+
+    def counted(self):
+        spent.append(None)
+        spend(self)
+
+    monkeypatch.setattr(Tracker, "spend", counted)
+    return spent
+
+
+def _check_extension(entries, seq, spent):
+    spent.clear()
+    old = _extend_outcome(extend_to_total_by_sizes, entries, seq)
+    old_spent = len(spent)
+    spent.clear()
+    assert _extend_outcome(extend_to_total, entries, seq) == old, (entries, seq)
+    assert len(spent) <= old_spent, (entries, seq)
+    return old
+
+
+def test_extend_to_total_matches_size_loop_exhaustive_n5(monkeypatch):
+    # every terminal sequence, and the empty one, of every input with n <= 5:
+    # the same extension or the same exception type, at no more budget
+    spent = _counted_extensions(monkeypatch)
+    extended = 0
+    for n in range(1, 6):
+        for entries in all_signed_permutations(n):
+            g = build_overlap_graph(entries)
+            for seq in {(), *_terminal_sequences(g)}:
+                result = _check_extension(entries, seq, spent)
+                extended += isinstance(result, tuple) and result != seq
+    assert extended > 1000
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_extend_to_total_matches_size_loop_sampled(n, monkeypatch):
+    # random maximal sequences, drawn from random plays to a terminal
+    spent = _counted_extensions(monkeypatch)
+    rng = random.Random(n)
+    maximal = extended = 0
+    while maximal < 300:
+        entries = random_signed_permutation(rng, n)
+        seq = _random_terminal_sequence(rng, build_overlap_graph(entries))
+        if seq and classify_sequence(entries, seq) == "maximal":
+            extended += isinstance(_check_extension(entries, seq, spent), tuple)
+            maximal += 1
+    assert extended > 200
 
 
 def test_budget_errors_are_loud():

@@ -4,7 +4,9 @@ brute force and against each other.
 ops._cdr_children must yield exactly the children that _cdr_moves and
 _apply_cdr give; every query built on analysis.fold or analysis.walk must
 match the path-by-path enumeration of tests/oracles.py; and both must spend
-their budget once per distinct reachable state.  An enumeration that runs out
+their budget once per distinct reachable state.  cdr_sorting_lengths answers
+from the sortability witness instead; it must match the same enumeration and
+spend once per position of the witness run.  An enumeration that runs out
 of budget lists only fixed points of the complete answer, with their exact
 lengths, after expanding at most budget states.
 
@@ -111,10 +113,9 @@ BUDGET_CASES = [
 @pytest.mark.parametrize("entries", BUDGET_CASES)
 def test_budget_is_one_unit_per_reachable_state(entries):
     states = len(reachable_states(entries, cdr_children))
-    for query in (cdr_sorting_lengths, maximal_sequence_lengths):
-        query(entries, budget=states)
-        with pytest.raises(BudgetExceededError):
-            query(entries, budget=states - 1)
+    maximal_sequence_lengths(entries, budget=states)
+    with pytest.raises(BudgetExceededError):
+        maximal_sequence_lengths(entries, budget=states - 1)
     assert enumerate_cdr_fixed_points(entries, budget=states).complete
     assert not enumerate_cdr_fixed_points(entries, budget=states - 1).complete
     cds_states = len(reachable_states(entries, cds_children))
@@ -122,6 +123,21 @@ def test_budget_is_one_unit_per_reachable_state(entries):
         query(entries, budget=cds_states)
         with pytest.raises(BudgetExceededError):
             query(entries, budget=cds_states - 1)
+
+
+def test_sorting_lengths_spend_one_unit_per_witness_position():
+    # the sorting lengths come from the sortability witness: a witness of
+    # length k answers at budget k + 1 (its run's positions) and not at k
+    cases = [*BUDGET_CASES, *(p.entries for p in fixtures().values())]
+    cases += [e for n in range(1, 6) for e in all_signed_permutations(n)]
+    for entries in cases:
+        found, witness = analysis.cdr_sortable_search(entries)
+        if not found:
+            continue
+        k = len(witness)
+        assert cdr_sorting_lengths(entries, budget=k + 1) == frozenset((k,))
+        with pytest.raises(BudgetExceededError):
+            cdr_sorting_lengths(entries, budget=k)
 
 
 def _expansions(monkeypatch) -> list:

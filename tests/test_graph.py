@@ -323,7 +323,7 @@ def test_text_parse_rejects_bad_edge_label_after_good_ones(edge):
     bad = next(t for t in edge.split()[1:] if t not in ("(1,2)", "(2,3)"))
     with pytest.raises(ValueError) as info:
         graph_from_text(text)
-    assert str(info.value) == f"bad vertex label {bad!r}, expected \"(i,i+1)\""
+    assert str(info.value) == f"line 4: bad vertex label {bad!r}, expected \"(i,i+1)\""
 
 
 def test_text_parse_names_the_first_bad_edge_in_text_order():

@@ -17,7 +17,9 @@ from cdsort.graph import (
     gcdr,
     graph_from_text,
     has_unoriented_component,
+    is_oriented_sequence,
     local_complement,
+    to_dot,
     to_text,
 )
 from cdsort.perm import all_signed_permutations, random_signed_permutation
@@ -32,7 +34,9 @@ from oracles import (
     neighbors_sets,
     overlap_graph_sets,
     graph_from_text_sets,
+    is_oriented_sequence_by_gcdr,
     playout_length_sets,
+    to_dot_edge_list,
     to_text_edge_list,
 )
 
@@ -138,6 +142,43 @@ def test_to_text_matches_edge_list_version():
         assert to_text(g) == to_text_edge_list(g)
 
 
+def test_to_dot_matches_edge_list_version():
+    empty = OrientedGraph((), (), ())
+    assert to_dot(empty) == to_dot_edge_list(empty) == "graph overlap {\n  node [shape=circle];\n}\n"
+    for k in range(1, 5):
+        for sets in all_oriented_graphs(k):
+            g = OrientedGraph(*sets)
+            assert to_dot(g) == to_dot_edge_list(g)
+    rng = random.Random(44)
+    for _ in range(500):
+        g = random_graph(rng)
+        assert to_dot(g) == to_dot_edge_list(g)
+
+
+def test_is_oriented_sequence_matches_gcdr_version():
+    # half the sequences are legal plays, some of them with one more vertex,
+    # a non-vertex or a repeat; the rest are random draws with both
+    rng = random.Random(45)
+    answers = []
+    for _ in range(3000):
+        g = random_graph(rng)
+        pool = sorted(g.vertices) + [-1, 0, 10**9 + 1]
+        seq = []
+        if rng.random() < 0.5:
+            h = g
+            while h.oriented and rng.random() < 0.8:
+                seq.append(rng.choice(sorted(h.oriented)))
+                h = gcdr(h, seq[-1])
+            if seq and rng.random() < 0.5:
+                seq.append(rng.choice(pool + seq))
+        else:
+            seq = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        answer = is_oriented_sequence(g, seq)
+        assert answer == is_oriented_sequence_by_gcdr(g, seq), (g, seq)
+        answers.append(answer)
+    assert 500 < sum(answers) < 2500
+
+
 def _name(v):
     return f"({v},{v + 1})"
 
@@ -195,15 +236,33 @@ def _parse(parser, text):
         return type(exc), str(exc)
 
 
+def _bad_label_line(text):
+    """The number of the first line of text that is a bad-label error on its
+    own, by the oracle parser; None when there is none."""
+    for ln, line in enumerate(text.splitlines(), 1):
+        error = _parse(graph_from_text_sets, line)
+        if isinstance(error, tuple) and error[1].startswith("bad vertex label"):
+            return ln
+    return None
+
+
 def test_graph_from_text_matches_sets_version():
+    # the same graph or the same error as the oracle parser, except that a
+    # bad-label error also names the line that carries the bad token
     rng = random.Random(43)
+    labelled = 0
     for case in range(3000):
         g = random_graph(rng)
         bad = case % 2 == 1
         text = graph_text(rng, g, bad)
         parsed = _parse(graph_from_text, text)
-        assert parsed == _parse(graph_from_text_sets, text), text
+        expected = _parse(graph_from_text_sets, text)
+        if isinstance(expected, tuple) and expected[1].startswith("bad vertex label"):
+            expected = ValueError, f"line {_bad_label_line(text)}: {expected[1]}"
+            labelled += 1
+        assert parsed == expected, text
         if bad:
             assert isinstance(parsed, tuple), text
         else:
             assert parsed == g, text
+    assert labelled > 100

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,8 @@ from cdsort.ops import (
     try_apply_cdr,
     try_apply_cds,
 )
-from cdsort.perm import random_signed_permutation
+from cdsort.graph import build_overlap_graph, gcdr, try_gcdr
+from cdsort.perm import SignedPermutation, all_signed_permutations, random_signed_permutation
 
 
 @st.composite
@@ -281,3 +283,46 @@ def test_empty_trace():
     trace = SortTrace.from_moves((1, 2), [])
     assert trace.final.entries == (1, 2)
     assert str(trace) == "initial [1, 2]\nfinal [1, 2]"
+
+
+# ---------------------------------------------------------------------------
+# the lenient forms against the strict forms they wrap
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _check_lenient(lenient, strict, unchanged, *args):
+    """lenient(*args) is (strict(*args), True), or (unchanged, False) exactly
+    when strict raises NotApplicableError; any other error keeps its type and
+    message.  Returns the strict outcome's kind."""
+    kind, value = _outcome(strict, *args)
+    got = _outcome(lenient, *args)
+    if kind == "ok":
+        assert got == ("ok", (value, True)), args
+    elif kind is NotApplicableError:
+        assert got == ("ok", (unchanged, False)), args
+    else:
+        assert got == (kind, value), args
+    return kind
+
+
+def test_lenient_forms_are_strict_forms_plus_a_catch_exhaustive_n4():
+    seen = Counter()
+    for n in range(1, 5):
+        for entries in all_signed_permutations(n):
+            same = SignedPermutation(entries)
+            g = build_overlap_graph(entries)
+            for i in range(n + 1):
+                seen["gcdr", _check_lenient(try_gcdr, gcdr, g, g, i)] += 1
+                for p in (entries, same):
+                    seen["cdr", _check_lenient(try_apply_cdr, apply_cdr, same, p, i)] += 1
+                    for j in range(n + 1):
+                        seen["cds", _check_lenient(try_apply_cds, apply_cds, same, p, i, j)] += 1
+    # every form meets a result, a refusal and a bad argument
+    assert {(form, kind) for form in ("cdr", "cds", "gcdr")
+            for kind in ("ok", NotApplicableError, ValueError)} <= set(seen)
