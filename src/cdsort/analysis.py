@@ -33,6 +33,7 @@ input.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -94,10 +95,10 @@ def fold(entries: Entries, memo: dict, tracker: Tracker, children, leaf, combine
     A state not in ``memo`` spends one unit of ``tracker``, then resolves to
     combine(results of its children, in the order children(state) yields
     them), or to leaf(state) when it has none.  Children are visited depth
-    first, one recursive call per move, so a run longer than the interpreter's
-    recursion limit allows ends in RecursionError.  Every result must
-    be truthy (a nonzero mask, a nonempty table): a child found in ``memo``
-    is read without a call.
+    first, one interpreter frame per move, so a run longer than the
+    interpreter's recursion limit allows ends in RecursionError.  Each state
+    is looked up in ``memo`` once: a child found there is read without a
+    call, so no result may be None.
 
     Its users are the queries that need more than which states are reachable
     and at what depth: maximal_sequence_lengths (run counts),
@@ -106,10 +107,21 @@ def fold(entries: Entries, memo: dict, tracker: Tracker, children, leaf, combine
     """
     res = memo.get(entries)
     if res is None:
-        tracker.spend()
-        results = [memo.get(child) or fold(child, memo, tracker, children, leaf, combine)
-                   for child in children(entries)]
-        res = memo[entries] = combine(results) if results else leaf(entries)
+        res = _fold(entries, memo, tracker.spend, children, leaf, combine)
+    return res
+
+
+def _fold(entries: Entries, memo: dict, spend, children, leaf, combine):
+    """fold at a state not in ``memo``: a plain loop, not a comprehension,
+    which would be a frame of its own."""
+    spend()
+    results = []
+    for child in children(entries):
+        res = memo.get(child)
+        if res is None:
+            res = _fold(child, memo, spend, children, leaf, combine)
+        results.append(res)
+    res = memo[entries] = combine(results) if results else leaf(entries)
     return res
 
 
@@ -164,14 +176,6 @@ def _extend_fixed_points(results: list) -> dict:
     for res in results:
         for fp, mask in res.items():
             acc[fp] = acc.get(fp, 0) | mask << 1
-    return acc
-
-
-def _extend_counts(results: list) -> dict:
-    acc: dict = {}
-    for res in results:
-        for length, count in res.items():
-            acc[length + 1] = acc.get(length + 1, 0) + count
     return acc
 
 
@@ -344,9 +348,31 @@ def enumerate_cdr_fixed_points(p, budget: int = DEFAULT_BUDGET) -> FixedPointEnu
 
 def maximal_sequence_lengths(p, budget: int = DEFAULT_BUDGET) -> Counter:
     """Multiset of lengths over all maximal cdr move sequences from p, as a
-    Counter mapping length -> number of sequences."""
-    return Counter(fold(as_entries(p), {}, Tracker(budget), ops._cdr_children,
-                        lambda _: {0: 1}, _extend_counts))
+    Counter mapping length -> number of sequences, in increasing length.
+
+    The fold carries one int per state, sum of count_k << (k * W) over the
+    lengths k of the maximal runs from it: a leaf is 1 and a state is the sum
+    of its children shifted by W.  The counts never carry into each other
+    with W = bit_length((n - 1)!).  A cdr move leaves its pointer isolated and
+    unoriented for good (see greedy_safe_total_sequence), so a run plays each
+    of the n - 1 pointers at most once, and no maximal run is a prefix of
+    another; so a state has at most (n - 1)! maximal runs, each one the
+    prefix of a different ordering of the pointers.  The fold still sums
+    every path: nothing here reads a lemma about the lengths.
+    """
+    entries = as_entries(p)
+    width = math.factorial(len(entries) - 1).bit_length()
+    packed = fold(entries, {}, Tracker(budget), ops._cdr_children, lambda _: 1,
+                  lambda results: sum(results) << width)
+    counts = Counter()
+    field = (1 << width) - 1
+    length = 0
+    while packed:
+        if packed & field:
+            counts[length] = packed & field
+        packed >>= width
+        length += 1
+    return counts
 
 
 def parity(p) -> str:
@@ -502,7 +528,11 @@ def classify_sequence(p, seq: Sequence[int]) -> str:
     by the end state."""
     g = build_overlap_graph(p)
     ranks = graphmod.ranks_of(g, seq)
-    end = None if ranks is None else graphmod.play_ranks(*graphmod.masks(g), ranks)
+    return _end_kind(None if ranks is None else graphmod.play_ranks(*graphmod.masks(g), ranks))
+
+
+def _end_kind(end) -> str:
+    """classify_sequence's answer for the end position, None when invalid."""
     if end is None:
         return "invalid"
     rows, ori = end
@@ -546,9 +576,14 @@ def extend_to_total(p, maxseq: Sequence[int], budget: int = DEFAULT_BUDGET) -> t
     sequence has length rank(M) (see parity), so the run has rank(M) minus
     len(maxseq) vertices.  Searches insertion points left-first, vertex
     choices in increasing order; the first extension found is returned.  A
-    total input is returned unchanged."""
+    total input is returned unchanged.  A graph with an unoriented component
+    has no total sequence, and raises ValueError as greedy_safe_total_sequence
+    does."""
     maxseq = tuple(maxseq)
-    kind = classify_sequence(p, maxseq)
+    g0 = build_overlap_graph(p)
+    ranks = graphmod.ranks_of(g0, maxseq)
+    prefixes = None if ranks is None else _prefixes(*graphmod.masks(g0), ranks)
+    kind = _end_kind(None if prefixes is None else prefixes[-1])
     if kind == "total":
         return maxseq
     if kind != "maximal":
@@ -557,13 +592,8 @@ def extend_to_total(p, maxseq: Sequence[int], budget: int = DEFAULT_BUDGET) -> t
         # maximal-and-empty means no oriented vertex at all, yet edges remain:
         # an unoriented component, outside this operation's remit
         raise ValueError("graph has no oriented vertex; nothing can extend the empty sequence")
-    g0 = build_overlap_graph(p)
-    ranks = graphmod.ranks_of(g0, maxseq)
-    position = graphmod.masks(g0)
-    prefixes = [position]
-    for i in ranks:
-        position = graphmod.move(*position, i)
-        prefixes.append(position)
+    if has_unoriented_component(g0):
+        raise ValueError("overlap graph has an unoriented component; no total sequence exists")
     tracker = Tracker(budget)
     depth = graphmod.gf2_rank(*prefixes[0]) - len(maxseq)
     for cut_at in range(len(maxseq)):
@@ -573,6 +603,18 @@ def extend_to_total(p, maxseq: Sequence[int], budget: int = DEFAULT_BUDGET) -> t
     raise TheoremViolationError(
         f"no even insertion extends {maxseq} to a total sequence"
     )
+
+
+def _prefixes(rows: tuple, ori: int, ranks: tuple) -> list | None:
+    """The position before each move of ``ranks`` and after the last; None
+    when a rank is not oriented at its turn."""
+    prefixes = [(rows, ori)]
+    for i in ranks:
+        if not ori >> i & 1:
+            return None
+        rows, ori = graphmod.move(rows, ori, i)
+        prefixes.append((rows, ori))
+    return prefixes
 
 
 def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: Tracker):

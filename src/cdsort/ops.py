@@ -102,36 +102,44 @@ def _cdr_children(entries: Entries) -> Iterator[Entries]:
     """The result of cdr at each applicable pointer, in increasing pointer
     order: the states _apply_cdr gives at the pointers _cdr_moves lists.
 
-    One pass records each value's index and sign, and one more negates the
-    reversed entries; each child is then three slices, because the block a cdr
-    reverses and negates is a slice of that negated reversal.  A generator on
-    purpose: analysis.fold and analysis.walk keep one of these open per level
-    of a run, and a long permutation has about n/2 children of n entries per
-    state, so building them eagerly would hold about n^2 / 2 entries per
-    level (for n = 2000 and a run of a thousand levels, some 2 * 10^9) where a
-    generator holds three arrays of n.
+    One pass records each value's index.  Pointer i applies when the entries
+    of values i and i+1 differ in sign, which is (lo ^ hi) < 0 on the two
+    entries.  At the first applicable pointer one more pass negates the
+    reversed entries, so a fixed point builds nothing more; each child is then
+    three slices, because the block a cdr reverses and negates is a slice of
+    that negated reversal.  A generator on purpose: analysis.fold and
+    analysis.walk keep one of these open per level of a run, and a long
+    permutation has about n/2 children of n entries per state, so building
+    them eagerly would hold about n^2 / 2 entries per level (for n = 2000 and
+    a run of a thousand levels, some 2 * 10^9) where a generator holds two
+    arrays of n.
     """
     n = len(entries)
+    if n < 2:
+        return
     at = [0] * (n + 1)
-    sign = [False] * (n + 1)
     for j, v in enumerate(entries):
-        if v > 0:
-            at[v] = j
-            sign[v] = True
-        else:
-            at[-v] = j
-    flipped = tuple([-v for v in entries[::-1]])
-    for i in range(1, n):
-        pos = sign[i]
-        if pos == sign[i + 1]:
-            continue
-        # both cuts of pointer i sit after their entries when value i is
-        # positive (so i+1 is negative), before them otherwise; see _apply_cdr
-        g1 = at[i] + pos
-        g2 = at[i + 1] + pos
-        if g1 > g2:
-            g1, g2 = g2, g1
-        yield entries[:g1] + flipped[n - g2:n - g1] + entries[g2:]
+        at[v if v > 0 else -v] = j
+    flipped = None
+    lo_at = at[1]
+    lo = entries[lo_at]
+    for i in range(2, n + 1):
+        hi_at = at[i]
+        hi = entries[hi_at]
+        if (lo ^ hi) < 0:
+            if flipped is None:
+                flipped = tuple([-v for v in entries[::-1]])
+            # both cuts of the pointer sit after their entries when its low
+            # value is positive (so the high one is negative), before them
+            # otherwise; see _apply_cdr
+            pos = lo > 0
+            g1 = lo_at + pos
+            g2 = hi_at + pos
+            if g1 > g2:
+                g1, g2 = g2, g1
+            yield entries[:g1] + flipped[n - g2:n - g1] + entries[g2:]
+        lo_at = hi_at
+        lo = hi
 
 
 def _arcs(entries: Sequence[int]) -> list[tuple[int, int, int, int, bool]]:

@@ -96,7 +96,7 @@ def parse_entries(text: str) -> Entries:
 
 def format_entries(entries: Sequence[int]) -> str:
     """Bracketed, comma-separated text form; inverse of parse_entries."""
-    return "[" + ", ".join(str(v) for v in entries) + "]"
+    return "[" + ", ".join(map(str, entries)) + "]"
 
 
 def identity_entries(n: int) -> Entries:
@@ -302,10 +302,15 @@ def fixtures() -> dict[str, SignedPermutation]:
 
 
 def all_signed_permutations(n: int) -> Iterator[Entries]:
-    """All 2^n * n! signed permutations of length n, in a fixed order."""
+    """All 2^n * n! signed permutations of length n, in a fixed order: the
+    permutations in lexicographic order, and under each its 2^n sign
+    patterns, with the sign of entry k given by bit k of a counter from 0
+    (bit set: negative)."""
     for perm in itertools.permutations(range(1, n + 1)):
-        for mask in range(1 << n):
-            yield tuple(-v if (mask >> k) & 1 else v for k, v in enumerate(perm))
+        # the product runs its last factor fastest, so the factors go in
+        # reverse and each tuple comes out reversed
+        for signed in itertools.product(*[(v, -v) for v in reversed(perm)]):
+            yield signed[::-1]
 
 
 def random_signed_permutation(rng: random.Random, n: int) -> Entries:

@@ -5,12 +5,17 @@ they enumerate entire move trees path by path, so they stay trustworthy as a
 cross-check even if the production search logic changes.  Only usable at toy
 sizes.  The one exception is the fold section, which keeps the memoized
 fold's answers to the queries now served by analysis.walk, budget behaviour
-included, as the reference for the walk; and the last two sections, which
+included, as the reference for the walk; and the last three sections, which
 keep earlier versions verbatim as the reference for their rewrites: the
-minimax search, the text and DOT forms, the oriented-sequence check and the
-total extension.
+minimax search, the text and DOT forms, the oriented-sequence check, the
+total extension, the cdr children kernel, the fold, the run counts, the
+exhaustive input generator and the text form of a permutation.
 """
 from __future__ import annotations
+
+import itertools
+from collections import Counter
+from typing import Iterator, Sequence
 
 from cdsort import analysis, ops
 from cdsort import graph as graphmod
@@ -30,7 +35,7 @@ from cdsort.graph import (
     overlap_masks,
 )
 from cdsort.ops import _apply_cdr, _apply_cds, _arcs, _cdr_moves, _cds_moves, _interleave
-from cdsort.perm import SignedPermutation, as_entries
+from cdsort.perm import Entries, SignedPermutation, as_entries
 
 
 def all_maximal_cdr_runs(entries):
@@ -392,3 +397,79 @@ def extend_to_total_by_sizes(p, maxseq, budget=analysis.DEFAULT_BUDGET):
     raise TheoremViolationError(
         f"no even insertion extends {maxseq} to a total sequence"
     )
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive engine and the sweep inputs and records as they were before
+# their per-state and per-record costs were cut, kept verbatim: the cdr
+# children kernel with a sign array, the fold with a comprehension per state
+# and a memo lookup on each side of the call, the run counts as one dict per
+# state, the input generator with a sign mask per input, and the text form
+# through a generator
+
+
+def cdr_children_by_signs(entries: Entries) -> Iterator[Entries]:
+    """The result of cdr at each applicable pointer, in increasing pointer
+    order: the states _apply_cdr gives at the pointers _cdr_moves lists."""
+    n = len(entries)
+    at = [0] * (n + 1)
+    sign = [False] * (n + 1)
+    for j, v in enumerate(entries):
+        if v > 0:
+            at[v] = j
+            sign[v] = True
+        else:
+            at[-v] = j
+    flipped = tuple([-v for v in entries[::-1]])
+    for i in range(1, n):
+        pos = sign[i]
+        if pos == sign[i + 1]:
+            continue
+        # both cuts of pointer i sit after their entries when value i is
+        # positive (so i+1 is negative), before them otherwise; see _apply_cdr
+        g1 = at[i] + pos
+        g2 = at[i + 1] + pos
+        if g1 > g2:
+            g1, g2 = g2, g1
+        yield entries[:g1] + flipped[n - g2:n - g1] + entries[g2:]
+
+
+def fold_by_comprehension(entries: Entries, memo: dict, tracker: Tracker, children, leaf,
+                          combine):
+    """Memoized post-order fold over the states reachable from ``entries``."""
+    res = memo.get(entries)
+    if res is None:
+        tracker.spend()
+        results = [memo.get(child) or fold_by_comprehension(child, memo, tracker, children,
+                                                            leaf, combine)
+                   for child in children(entries)]
+        res = memo[entries] = combine(results) if results else leaf(entries)
+    return res
+
+
+def _extend_count_dicts(results: list) -> dict:
+    acc: dict = {}
+    for res in results:
+        for length, count in res.items():
+            acc[length + 1] = acc.get(length + 1, 0) + count
+    return acc
+
+
+def maximal_sequence_lengths_by_dicts(p, budget: int = analysis.DEFAULT_BUDGET) -> Counter:
+    """Multiset of lengths over all maximal cdr move sequences from p, as a
+    Counter mapping length -> number of sequences."""
+    return Counter(fold_by_comprehension(as_entries(p), {}, Tracker(budget),
+                                         cdr_children_by_signs, lambda _: {0: 1},
+                                         _extend_count_dicts))
+
+
+def all_signed_permutations_by_masks(n: int) -> Iterator[Entries]:
+    """All 2^n * n! signed permutations of length n, in a fixed order."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        for mask in range(1 << n):
+            yield tuple(-v if (mask >> k) & 1 else v for k, v in enumerate(perm))
+
+
+def format_entries_by_generator(entries: Sequence[int]) -> str:
+    """Bracketed, comma-separated text form; inverse of parse_entries."""
+    return "[" + ", ".join(str(v) for v in entries) + "]"

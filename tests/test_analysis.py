@@ -5,6 +5,7 @@ import pytest
 
 from cdsort.analysis import (
     BudgetExceededError,
+    TheoremViolationError,
     Tracker,
     cdr_sortable_criterion,
     cdr_sortable_search,
@@ -26,7 +27,7 @@ from cdsort.analysis import (
     verify_rescue,
 )
 from cdsort.games import GameState, winner_by_minimax
-from cdsort.graph import build_overlap_graph, gcdr
+from cdsort.graph import build_overlap_graph, gcdr, has_unoriented_component
 from cdsort.ops import SortTrace, is_cdr_fixed_point
 from cdsort.perm import (
     SignedPermutation,
@@ -391,6 +392,15 @@ def test_extend_to_total_rejects_unoriented_terminal_graph():
         extend_to_total(GAMMA6, ())
 
 
+def test_extend_to_total_rejects_unoriented_component():
+    # a maximal sequence cannot become total while an unoriented component,
+    # which no move touches, remains
+    entries = (-5, -3, 1, 2, -6, -4)
+    assert classify_sequence(entries, (2,)) == "maximal"
+    with pytest.raises(ValueError, match="unoriented component; no total sequence exists"):
+        extend_to_total(entries, (2,))
+
+
 def test_extend_to_total_length_matches_total_length():
     # over all length-4 inputs without unoriented components: any greedily
     # reached maximal sequence extends to a total one of the invariant length
@@ -453,18 +463,25 @@ def _counted_extensions(monkeypatch):
 
 
 def _check_extension(entries, seq, spent):
+    """The outcome of extend_to_total, checked against the size loop's: the
+    same, except a ValueError where the size loop reports a theorem violation
+    on a graph with an unoriented component."""
     spent.clear()
     old = _extend_outcome(extend_to_total_by_sizes, entries, seq)
     old_spent = len(spent)
+    if old is TheoremViolationError and has_unoriented_component(build_overlap_graph(entries)):
+        old = ValueError
     spent.clear()
-    assert _extend_outcome(extend_to_total, entries, seq) == old, (entries, seq)
+    new = _extend_outcome(extend_to_total, entries, seq)
+    assert new == old, (entries, seq)
     assert len(spent) <= old_spent, (entries, seq)
-    return old
+    return new
 
 
 def test_extend_to_total_matches_size_loop_exhaustive_n5(monkeypatch):
     # every terminal sequence, and the empty one, of every input with n <= 5:
-    # the same extension or the same exception type, at no more budget
+    # the same extension or the same exception type, at no more budget, and
+    # never a theorem violation
     spent = _counted_extensions(monkeypatch)
     extended = 0
     for n in range(1, 6):
@@ -472,6 +489,7 @@ def test_extend_to_total_matches_size_loop_exhaustive_n5(monkeypatch):
             g = build_overlap_graph(entries)
             for seq in {(), *_terminal_sequences(g)}:
                 result = _check_extension(entries, seq, spent)
+                assert result is not TheoremViolationError, (entries, seq)
                 extended += isinstance(result, tuple) and result != seq
     assert extended > 1000
 

@@ -17,6 +17,7 @@ on every small input.  The walk must also expand the same states in the same
 order as the fold, so that its answers, its incomplete listings and its
 budget boundaries are the fold's (tests/oracles.py keeps the fold's answers).
 """
+import inspect
 from collections import Counter
 
 import pytest
@@ -40,10 +41,13 @@ from oracles import (
     all_maximal_cdr_runs,
     all_maximal_cds_runs,
     cdr_children,
+    cdr_children_by_signs,
     cdr_sorting_run_lengths,
     cds_children,
+    fold_by_comprehension,
     fold_cds_fixed_points,
     fold_fixed_points,
+    maximal_sequence_lengths_by_dicts,
     reachable_states,
 )
 
@@ -65,6 +69,19 @@ def test_cdr_children_match_moves_and_apply_exhaustively():
 @given(signed_perms(60))
 def test_cdr_children_match_moves_and_apply(entries):
     assert list(ops._cdr_children(entries)) == cdr_children(entries)
+
+
+def test_cdr_children_match_sign_array_kernel_exhaustively():
+    for n in range(1, 7):
+        for entries in all_signed_permutations(n):
+            children = ops._cdr_children(entries)
+            assert inspect.isgenerator(children)
+            assert list(children) == list(cdr_children_by_signs(entries))
+
+
+@given(signed_perms(60))
+def test_cdr_children_match_sign_array_kernel(entries):
+    assert list(ops._cdr_children(entries)) == list(cdr_children_by_signs(entries))
 
 
 def test_cds_children_match_moves_and_apply_exhaustively():
@@ -228,3 +245,76 @@ def test_walk_queries_match_fold(entries, budget):
     assert cdr_sorting_lengths(entries) == _fold_sorting_lengths(
         fold_fixed_points(entries), len(entries))
     assert cds_reachable_fixed_points(entries) == fold_cds_fixed_points(entries)
+
+
+# ---------------------------------------------------------------------------
+# the one-frame fold and the packed run counts against the fold and the
+# counts they replaced (tests/oracles.py keeps those verbatim)
+
+
+def test_run_counts_match_dict_fold_exhaustively():
+    for n in range(1, 7):
+        for entries in all_signed_permutations(n):
+            counts = maximal_sequence_lengths(entries)
+            assert counts == maximal_sequence_lengths_by_dicts(entries), entries
+            assert list(counts) == sorted(counts)
+
+
+@given(signed_perms(10))
+def test_run_counts_match_dict_fold(entries):
+    assert maximal_sequence_lengths(entries) == maximal_sequence_lengths_by_dicts(entries)
+
+
+@pytest.mark.parametrize("name", ["u_pisces_1", "u_pisces_2"])
+def test_run_counts_match_dict_fold_on_fixtures(name):
+    entries = fixtures()[name].entries
+    assert maximal_sequence_lengths(entries) == maximal_sequence_lengths_by_dicts(entries)
+
+
+FOLD_TARGETS = {
+    "fixed points": (ops._cdr_children, lambda fp: {fp: 1}, analysis._extend_fixed_points),
+    "cdr lengths": (ops._cdr_children, lambda _: 1, analysis._extend_lengths),
+    "cds lengths": (ops._cds_children, lambda _: 1, analysis._extend_lengths),
+}
+
+
+@pytest.mark.parametrize("target", FOLD_TARGETS)
+def test_fold_matches_comprehension_fold_on_shared_memos(target):
+    # the same results, the same memo items in the same insertion order, and
+    # the same budget spent, input after input on one shared memo
+    children, leaf, combine = FOLD_TARGETS[target]
+    memo: dict = {}
+    old_memo: dict = {}
+    tracker = Tracker(analysis.DEFAULT_BUDGET)
+    old_tracker = Tracker(analysis.DEFAULT_BUDGET)
+    for n in range(1, 6):
+        for entries in all_signed_permutations(n):
+            res = analysis.fold(entries, memo, tracker, children, leaf, combine)
+            old = fold_by_comprehension(entries, old_memo, old_tracker, children, leaf, combine)
+            assert res == old, entries
+            assert tracker.remaining == old_tracker.remaining, entries
+    assert list(memo.items()) == list(old_memo.items())
+
+
+def _fold_budgets() -> list:
+    """(entries, budget) pairs: every budget up to one past the reachable
+    states on the small budget cases, and some around u_pisces_1's 8,198."""
+    cases = [(entries, budget) for entries in BUDGET_CASES[1:]
+             for budget in range(1, len(reachable_states(entries, cdr_children)) + 2)]
+    return cases + [(BUDGET_CASES[0], budget) for budget in (10, 50, 4_099, 8_197, 8_198)]
+
+
+@pytest.mark.parametrize("entries, budget", _fold_budgets())
+def test_fold_matches_comprehension_fold_at_budget(entries, budget):
+    # an exhausted budget leaves the same partial memo, in the same order
+    children, leaf, combine = FOLD_TARGETS["fixed points"]
+    outcomes = []
+    for fold in (analysis.fold, fold_by_comprehension):
+        memo: dict = {}
+        tracker = Tracker(budget)
+        try:
+            res = fold(entries, memo, tracker, children, leaf, combine)
+        except BudgetExceededError:
+            res = None
+        outcomes.append((res, tracker.remaining, list(memo.items())))
+    assert outcomes[0] == outcomes[1]

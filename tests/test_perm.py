@@ -20,6 +20,8 @@ from cdsort.perm import (
     validate_entries,
 )
 
+from oracles import all_signed_permutations_by_masks, format_entries_by_generator
+
 
 @st.composite
 def signed_perms(draw, max_n=10):
@@ -212,6 +214,18 @@ def test_enumeration_count_and_uniqueness():
     assert len(perms) == 48 and len(set(perms)) == 48
     for entries in perms:
         validate_entries(entries)
+
+
+def test_enumeration_order_matches_sign_masks():
+    # the sweeps' records come out in this order, so it must not move
+    for n in range(7):
+        assert list(all_signed_permutations(n)) == list(all_signed_permutations_by_masks(n))
+
+
+@given(st.lists(st.integers()))
+def test_format_entries_matches_generator_form(values):
+    assert format_entries(values) == format_entries_by_generator(values)
+    assert format_entries(tuple(values)) == format_entries_by_generator(tuple(values))
 
 
 def test_random_permutation_is_seeded():
