@@ -7,23 +7,24 @@ length, so the sorting lengths are the length of that witness.  The
 exhaustive searches over the move graphs stay as the oracle, in two forms.
 walk, an iterative pre-order walk, backs the queries that only need which
 fixed points are reachable and at what depth: cdr fixed points and cds fixed
-points.  fold, a memoized recursion, backs the maximal-sequence and
-cds-length queries, criterion_discrepancies, the property sweeps, and the
-tests that check the fast decision against it.  The overlap-graph criterion
-("no unoriented component") is exposed separately: it is silent about
-isolated unoriented vertices whose arc is not an adjacency -- [2, 1] has no
+points.  fold, a memoized recursion, backs maximal_sequence_lengths,
+criterion_discrepancies, the property sweeps, and the tests that check the
+fast decision against it.  Every maximal cds run has one length, so
+cds_maximal_lengths reads the greedy run.  The overlap-graph criterion ("no
+unoriented component") is exposed separately: it is silent about isolated
+unoriented vertices whose arc is not an adjacency -- [2, 1] has no
 component at all, no applicable move, and is not the identity -- so
-criterion and search can disagree.  Disagreements are reported, never
-hidden.
+criterion and search can disagree.  Disagreements are reported, never hidden.
 
 Every search spends one Tracker, one unit per state it visits: for the
 sortability decision and the sorting lengths, the positions of the witness
-run; for the exhaustive searches, the distinct states expanded; for the
-games, the positions solved.  Running out raises BudgetExceededError.  Two
-public wrappers turn it into a value, because a partial answer is meaningful
-there: cdr_sortable_search (and its reverse) returns (None, None) for
-"undecided", and enumerate_cdr_fixed_points lists the fixed points it
-reached before the budget ran out, flagged incomplete.
+run (for the cds run lengths, of the greedy run); for the exhaustive
+searches, the distinct states expanded; for the games, the positions
+solved.  Running out raises BudgetExceededError.  Two public wrappers turn
+it into a value, because a partial answer is meaningful there:
+cdr_sortable_search (and its reverse) returns (None, None) for "undecided",
+and enumerate_cdr_fixed_points lists the fixed points it reached before the
+budget ran out, flagged incomplete.
 
 TheoremViolationError marks outcomes the structure theory rules out (a cdr
 fixed point of a sortable permutation that greedy cds cannot finish, a missing
@@ -102,8 +103,8 @@ def fold(entries: Entries, memo: dict, tracker: Tracker, children, leaf, combine
 
     Its users are the queries that need more than which states are reachable
     and at what depth: maximal_sequence_lengths (run counts),
-    cds_maximal_lengths, criterion_discrepancies, and the property sweeps,
-    which share one memo across their inputs.  The others use walk.
+    criterion_discrepancies, and the property sweeps, which share one memo
+    across their inputs.  The others use walk.
     """
     res = memo.get(entries)
     if res is None:
@@ -205,15 +206,14 @@ def mask_lengths(mask: int) -> tuple[int, ...]:
 def greedy_cds_run(entries: Entries) -> tuple[Entries, int, list]:
     """Apply the first applicable cds (canonical order) until none remains.
     Returns (end state, step count, moves taken)."""
-    steps = 0
     taken = []
     while True:
-        moves = ops._cds_moves(entries)
-        if not moves:
-            return entries, steps, taken
-        entries = ops._apply_cds(entries, *moves[0])
-        taken.append(moves[0])
-        steps += 1
+        arcs = ops._arcs(entries)
+        pq = next(ops._cds_pairs(arcs), None)
+        if pq is None:
+            return entries, len(taken), taken
+        entries = ops._swap(entries, arcs[pq[0] - 1], arcs[pq[1] - 1])
+        taken.append(pq)
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +632,17 @@ def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: Tr
 
 
 # ---------------------------------------------------------------------------
-# cds move-tree oracles (used by the sweeps and as cross-checks)
+# cds runs
 
 
 def cds_maximal_lengths(p, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
-    """Lengths of all maximal cds move sequences from p."""
-    return frozenset(mask_lengths(cds_length_mask(as_entries(p), {}, Tracker(budget))))
+    """Lengths of all maximal cds move sequences from p: every maximal cds run
+    has one length (a known result the paper cites), so the greedy run's.  The
+    budget counts the greedy run's positions, as in cdr_sorting_lengths."""
+    _, steps, _ = greedy_cds_run(as_entries(p))
+    if steps >= budget:
+        raise BudgetExceededError("search budget exhausted")
+    return frozenset((steps,))
 
 
 def cds_reachable_fixed_points(p, budget: int = DEFAULT_BUDGET) -> frozenset[SignedPermutation]:

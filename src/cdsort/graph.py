@@ -227,8 +227,8 @@ def gf2_rank(rows: tuple, ori: int) -> int:
 class OrientedGraph:
     """A finite graph with a per-vertex oriented/unoriented flag.
 
-    Immutable and hashable, so graphs serve directly as memo keys in the game
-    solver and the search code.  ``vertices``, ``edges`` and ``oriented`` are
+    Immutable and hashable (the game solver keys its memo on the masks, as
+    (rows, ori, rule)).  ``vertices``, ``edges`` and ``oriented`` are
     frozenset views of the masks, built on first use and cached; edges are
     (u, v) pairs with u < v.
     """

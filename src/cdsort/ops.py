@@ -58,21 +58,15 @@ def _cds_entries(p, i: int, j: int) -> Entries:
 # kernels on raw entries tuples
 
 
-def _signs(entries: Sequence[int]) -> list[bool]:
-    """sign[a] is True when the entry of absolute value a is positive."""
-    sign = [False] * (len(entries) + 1)
+def _cdr_moves(entries: Sequence[int]) -> list[int]:
+    sign = [False] * (len(entries) + 1)  # by absolute value: positive?
     for v in entries:
         sign[abs(v)] = v > 0
-    return sign
-
-
-def _cdr_moves(entries: Sequence[int]) -> list[int]:
-    sign = _signs(entries)
     return [i for i in range(1, len(entries)) if sign[i] != sign[i + 1]]
 
 
 def _apply_cdr(entries: Entries, i: int) -> Entries:
-    """Apply cdr at pointer i; assumes i is in range."""
+    """Apply cdr at pointer i, cut as _cdr_children cuts; assumes i is in range."""
     lo_idx = hi_idx = -1
     for j, v in enumerate(entries):
         a = abs(v)
@@ -80,18 +74,17 @@ def _apply_cdr(entries: Entries, i: int) -> Entries:
             lo_idx = j
         elif a == i + 1:
             hi_idx = j
-    lo_pos = entries[lo_idx] > 0
-    hi_pos = entries[hi_idx] > 0
-    if lo_pos == hi_pos:
+    lo = entries[lo_idx]
+    hi = entries[hi_idx]
+    if (lo ^ hi) >= 0:
         raise NotApplicableError(
-            f"cdr at pointer ({i},{i + 1}) needs opposite signs on entries "
-            f"{entries[lo_idx]} and {entries[hi_idx]}"
+            f"cdr at pointer ({i},{i + 1}) needs opposite signs on entries {lo} and {hi}"
         )
-    # head cut of value i: after it when positive, before it when negative;
-    # tail cut of value i+1: before it when positive, after it when negative.
-    cut_head = lo_idx + 1 if lo_pos else lo_idx
-    cut_tail = hi_idx if hi_pos else hi_idx + 1
-    g1, g2 = (cut_head, cut_tail) if cut_head < cut_tail else (cut_tail, cut_head)
+    pos = lo > 0
+    g1 = lo_idx + pos
+    g2 = hi_idx + pos
+    if g1 > g2:
+        g1, g2 = g2, g1
     # a list, not a generator: tuple() of a generator is allocated at length
     # 10 and resized, so it is freed onto another length's free list, and over
     # long runs those lists fill up and raise the peak RSS
@@ -104,15 +97,18 @@ def _cdr_children(entries: Entries) -> Iterator[Entries]:
 
     One pass records each value's index.  Pointer i applies when the entries
     of values i and i+1 differ in sign, which is (lo ^ hi) < 0 on the two
-    entries.  At the first applicable pointer one more pass negates the
-    reversed entries, so a fixed point builds nothing more; each child is then
-    three slices, because the block a cdr reverses and negates is a slice of
-    that negated reversal.  A generator on purpose: analysis.fold and
-    analysis.walk keep one of these open per level of a run, and a long
-    permutation has about n/2 children of n entries per state, so building
-    them eagerly would hold about n^2 / 2 entries per level (for n = 2000 and
-    a run of a thousand levels, some 2 * 10^9) where a generator holds two
-    arrays of n.
+    entries.  Then the low entry is the head of a positive entry exactly when
+    the high one is the tail of a negative entry, so both cuts sit after
+    their entries when the low entry is positive and before them otherwise:
+    each cut is index + (lo > 0).  At the first applicable pointer one more
+    pass negates the reversed entries, so a fixed point builds nothing more;
+    each child is then three slices, because the block a cdr reverses and
+    negates is a slice of that negated reversal.  A generator on purpose:
+    analysis.fold and analysis.walk keep one of these open per level of a
+    run, and a long permutation has about n/2 children of n entries per
+    state, so building them eagerly would hold about n^2 / 2 entries per
+    level (for n = 2000 and a run of a thousand levels, some 2 * 10^9) where
+    a generator holds two arrays of n.
     """
     n = len(entries)
     if n < 2:
@@ -129,9 +125,6 @@ def _cdr_children(entries: Entries) -> Iterator[Entries]:
         if (lo ^ hi) < 0:
             if flipped is None:
                 flipped = tuple([-v for v in entries[::-1]])
-            # both cuts of the pointer sit after their entries when its low
-            # value is positive (so the high one is negative), before them
-            # otherwise; see _apply_cdr
             pos = lo > 0
             g1 = lo_at + pos
             g2 = hi_at + pos
@@ -142,35 +135,29 @@ def _cdr_children(entries: Entries) -> Iterator[Entries]:
         lo = hi
 
 
-def _arcs(entries: Sequence[int]) -> list[tuple[int, int, int, int, bool]]:
-    """Per pointer i (at index i-1): (key_lo, key_hi, cut_lo, cut_hi, homogeneous)
-    with keys in increasing order, cuts paired to them, and ``homogeneous``
-    True when both occurrences sit on same-sign entries."""
+def _arcs(entries: Sequence[int]) -> list[tuple[int, int, bool]]:
+    """Per pointer i (at index i-1): (key_lo, key_hi, homogeneous), its two
+    occurrence keys (0-based, see perm) in increasing order, and whether both
+    sit on same-sign entries.  Value i's head is on its right flank when the
+    entry is positive; value i+1's tail is, when the entry is negative."""
     n = len(entries)
-    first: list = [None] * n  # slot i holds the first-seen occurrence of pointer i
-    arcs: list = [None] * (n - 1)
+    if n < 2:
+        return []
+    at = [0] * (n + 1)
     for j, v in enumerate(entries):
-        a = abs(v)
-        pos = v > 0
-        if a < n:  # head of pointer a
-            occ = (2 * (j + 1) + (1 if pos else 0), j + 1 if pos else j, pos)
-            if first[a] is None:
-                first[a] = occ
-            else:
-                arcs[a - 1] = _pair(first[a], occ)
-        if a > 1:  # tail of pointer a-1
-            occ = (2 * (j + 1) + (0 if pos else 1), j if pos else j + 1, pos)
-            if first[a - 1] is None:
-                first[a - 1] = occ
-            else:
-                arcs[a - 2] = _pair(first[a - 1], occ)
+        at[v if v > 0 else -v] = j
+    arcs = []
+    lo = entries[at[1]]
+    k1 = 2 * at[1] + (lo > 0)
+    for i in range(2, n + 1):
+        hi_at = at[i]
+        hi = entries[hi_at]
+        k2 = 2 * hi_at + (hi < 0)
+        homogeneous = (lo ^ hi) >= 0
+        arcs.append((k1, k2, homogeneous) if k1 < k2 else (k2, k1, homogeneous))
+        lo = hi
+        k1 = k2 ^ 1  # value i's head is on the flank opposite its tail
     return arcs
-
-
-def _pair(o1, o2):
-    if o1[0] > o2[0]:
-        o1, o2 = o2, o1
-    return (o1[0], o2[0], o1[1], o2[1], o1[2] == o2[2])
 
 
 def _interleave(a1: int, a2: int, b1: int, b2: int) -> bool:
@@ -179,29 +166,23 @@ def _interleave(a1: int, a2: int, b1: int, b2: int) -> bool:
 
 
 def _cds_moves(entries: Sequence[int]) -> list[CdsMove]:
-    return _cds_pairs(_arcs(entries))
+    return list(_cds_pairs(_arcs(entries)))
 
 
-def _cds_pairs(arcs: list) -> list[CdsMove]:
+def _cds_pairs(arcs: list) -> Iterator[CdsMove]:
     """The applicable cds pointer pairs, in canonical order, from _arcs."""
-    m = len(arcs)
-    out = []
-    for pi in range(m):
-        k1, k2, _, _, homog = arcs[pi]
-        if not homog:
-            continue
-        for qi in range(pi + 1, m):
-            l1, l2, _, _, homog_q = arcs[qi]
-            if homog_q and _interleave(k1, k2, l1, l2):
-                out.append((pi + 1, qi + 1))
-    return out
+    homogeneous = [(i, k1, k2) for i, (k1, k2, homog) in enumerate(arcs, 1) if homog]
+    for a, (p, k1, k2) in enumerate(homogeneous):
+        for q, l1, l2 in homogeneous[a + 1:]:
+            if k1 < l1 < k2 < l2 or l1 < k1 < l2 < k2:
+                yield p, q
 
 
 def _apply_cds(entries: Entries, p: int, q: int) -> Entries:
     """Apply cds at pointers p < q; assumes both in range and p != q."""
     arcs = _arcs(entries)
-    k1, k2, _, _, homog_p = arcs[p - 1]
-    l1, l2, _, _, homog_q = arcs[q - 1]
+    k1, k2, homog_p = arcs[p - 1]
+    l1, l2, homog_q = arcs[q - 1]
     if not _interleave(k1, k2, l1, l2):
         raise NotApplicableError(
             f"cds at pointers ({p},{p + 1}),({q},{q + 1}): occurrences do not alternate"
@@ -216,10 +197,12 @@ def _apply_cds(entries: Entries, p: int, q: int) -> Entries:
 def _swap(entries: Entries, arc_p: tuple, arc_q: tuple) -> Entries:
     """cds at two crossing arcs: exchange the segment between the first two
     cuts with the segment between the last two."""
-    k1, _, cp1, cp2, _ = arc_p
-    l1, _, cq1, cq2, _ = arc_q
-    # the arcs cross, so their keys alternate and the cuts follow the keys
-    g1, g2, g3, g4 = (cp1, cq1, cp2, cq2) if k1 < l1 else (cq1, cp1, cq2, cp2)
+    k1, k2, _ = arc_p
+    l1, l2, _ = arc_q
+    if l1 < k1:
+        k1, k2, l1, l2 = l1, l2, k1, k2
+    # the arcs cross, so their keys alternate: k1 < l1 < k2 < l2
+    g1, g2, g3, g4 = (k1 + 1) >> 1, (l1 + 1) >> 1, (k2 + 1) >> 1, (l2 + 1) >> 1
     return entries[:g1] + entries[g3:g4] + entries[g2:g3] + entries[g1:g2] + entries[g4:]
 
 
@@ -245,8 +228,7 @@ def cdr_applicable(p, i: int) -> bool:
     """
     entries = as_entries(p)
     _check_pointer(len(entries), i)
-    sign = _signs(entries)
-    return sign[i] != sign[i + 1]
+    return i in _cdr_moves(entries)
 
 
 def apply_cdr(p, i: int) -> SignedPermutation:
@@ -279,8 +261,8 @@ def cds_applicable(p, i: int, j: int) -> bool:
     False
     """
     arcs = _arcs(_cds_entries(p, i, j))
-    k1, k2, _, _, homog_i = arcs[i - 1]
-    l1, l2, _, _, homog_j = arcs[j - 1]
+    k1, k2, homog_i = arcs[i - 1]
+    l1, l2, homog_j = arcs[j - 1]
     return homog_i and homog_j and _interleave(k1, k2, l1, l2)
 
 

@@ -19,6 +19,10 @@ Occurrence geometry is encoded two ways:
   total order on occurrences, used for arc-crossing tests.
 * ``cut``  -- number of entries to the left of the flank, i.e. a slice index;
   used to excise and rearrange segments.
+
+The kernels in ops keep only a 0-based key, 2 * j + flank for entry j (the
+order of ``key``), and read its cut as (key + 1) >> 1: j for a left flank,
+j + 1 for a right one.
 """
 from __future__ import annotations
 

@@ -197,6 +197,8 @@ def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
     input set; sample mode draws permutations of length n."""
     if prop not in _CHECKS:
         raise ValueError(f"unknown property {prop!r}; known: {', '.join(PROPERTIES)}")
+    if n < 1 or samples < 0:
+        raise ValueError(f"a sweep needs n >= 1 and samples >= 0, got n={n}, samples={samples}")
     if exhaustive == bool(samples):
         raise ValueError("choose exactly one of exhaustive or samples")
     check = _CHECKS[prop]

@@ -2,7 +2,9 @@
 
 These deliberately avoid the memoized dynamic programming used by the package:
 they enumerate entire move trees path by path, so they stay trustworthy as a
-cross-check even if the production search logic changes.  Only usable at toy
+cross-check even if the production search logic changes.  The cds move tree
+and the overlap graph are read off perm.pointer_occurrences pointer by
+pointer, not from the ops kernels they check.  Only usable at toy
 sizes.  The one exception is the fold section, which keeps the memoized
 fold's answers to the queries now served by analysis.walk, budget behaviour
 included, as the reference for the walk; and the last three sections, which
@@ -34,8 +36,56 @@ from cdsort.graph import (
     gf2_rank,
     overlap_masks,
 )
-from cdsort.ops import _apply_cdr, _apply_cds, _arcs, _cdr_moves, _cds_moves, _interleave
-from cdsort.perm import Entries, SignedPermutation, as_entries
+from cdsort.ops import _apply_cdr, _cdr_moves
+from cdsort.perm import Entries, SignedPermutation, as_entries, pointer_occurrences
+
+
+# ---------------------------------------------------------------------------
+# cdr and cds read off perm.pointer_occurrences, pointer by pointer, with no
+# ops kernel: the reference for the kernels and for the move-tree oracles
+
+
+def occurrence_pairs(entries):
+    """Per pointer i (at index i-1), its two occurrences in key order."""
+    pairs = [[] for _ in range(len(entries) - 1)]
+    for o in pointer_occurrences(entries):
+        pairs[o.pointer - 1].append(o)
+    return pairs
+
+
+def crossing(a, b):
+    """Do the occurrence pairs a and b alternate in key order?"""
+    (a1, a2), (b1, b2) = (a[0].key, a[1].key), (b[0].key, b[1].key)
+    return a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2
+
+
+def cdr_moves_by_occurrences(entries):
+    """(pointer, child) for each pointer whose occurrences sit on
+    opposite-sign entries: the child reverses and negates the entries between
+    the two cuts."""
+    out = []
+    for i, (o1, o2) in enumerate(occurrence_pairs(entries), 1):
+        if o1.entry_sign != o2.entry_sign:
+            g1, g2 = o1.cut, o2.cut
+            block = tuple(-v for v in reversed(entries[g1:g2]))
+            out.append((i, entries[:g1] + block + entries[g2:]))
+    return out
+
+
+def cds_moves_by_occurrences(entries):
+    """((p, q), child) for each pair p < q whose occurrences alternate, each
+    pointer on same-sign entries: the child exchanges the entries between the
+    first two cuts with those between the last two."""
+    pairs = occurrence_pairs(entries)
+    out = []
+    for p, q in itertools.combinations(range(1, len(pairs) + 1), 2):
+        a, b = pairs[p - 1], pairs[q - 1]
+        if a[0].entry_sign == a[1].entry_sign and b[0].entry_sign == b[1].entry_sign \
+                and crossing(a, b):
+            g1, g2, g3, g4 = sorted((o.cut for o in a + b))
+            child = entries[:g1] + entries[g3:g4] + entries[g2:g3] + entries[g1:g2] + entries[g4:]
+            out.append(((p, q), child))
+    return out
 
 
 def all_maximal_cdr_runs(entries):
@@ -50,12 +100,12 @@ def all_maximal_cdr_runs(entries):
 
 
 def all_maximal_cds_runs(entries):
-    moves = _cds_moves(entries)
+    moves = cds_moves_by_occurrences(entries)
     if not moves:
         yield (), entries
         return
-    for pq in moves:
-        for rest, final in all_maximal_cds_runs(_apply_cds(entries, *pq)):
+    for pq, child in moves:
+        for rest, final in all_maximal_cds_runs(child):
             yield (pq,) + rest, final
 
 
@@ -66,7 +116,7 @@ def cdr_children(entries):
 
 def cds_children(entries):
     """The states one cds move away, in canonical move order."""
-    return [_apply_cds(entries, *pq) for pq in _cds_moves(entries)]
+    return [child for _, child in cds_moves_by_occurrences(entries)]
 
 
 def reachable_states(entries, children):
@@ -154,17 +204,13 @@ def graph_sets(g):
 
 def overlap_graph_sets(entries):
     """Overlap graph by the pairwise arc-crossing test."""
-    arcs = _arcs(entries)
-    m = len(arcs)
-    edges = set()
-    for pi in range(m):
-        k1, k2 = arcs[pi][0], arcs[pi][1]
-        for qi in range(pi + 1, m):
-            l1, l2 = arcs[qi][0], arcs[qi][1]
-            if _interleave(k1, k2, l1, l2):
-                edges.add((pi + 1, qi + 1))
-    oriented = frozenset(i + 1 for i in range(m) if not arcs[i][4])
-    return frozenset(range(1, m + 1)), frozenset(edges), oriented
+    pairs = occurrence_pairs(entries)
+    m = len(pairs)
+    edges = frozenset((p, q) for p, q in itertools.combinations(range(1, m + 1), 2)
+                      if crossing(pairs[p - 1], pairs[q - 1]))
+    oriented = frozenset(i for i, (o1, o2) in enumerate(pairs, 1)
+                         if o1.entry_sign != o2.entry_sign)
+    return frozenset(range(1, m + 1)), edges, oriented
 
 
 def neighbors_sets(graph, v):

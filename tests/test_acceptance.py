@@ -8,6 +8,8 @@ import random
 import time
 from pathlib import Path
 
+import pytest
+
 from cdsort import analysis, games, verify
 from cdsort.cli import main as cli_main
 from cdsort.graph import (
@@ -106,6 +108,7 @@ def test_criterion_4_actin_precursor():
     assert analysis.cds_sortable_greedy(trace.final, target="reverse_identity") == (True, 1)
 
 
+@pytest.mark.slow
 @criterion(5, "theorem sweeps exhaustive n=5 plus samples n=6..8", 600.0)
 def test_criterion_5_theorem_sweeps():
     properties = ("parity", "rescue", "steps", "same-length", "cds-same-length")

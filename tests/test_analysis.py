@@ -519,7 +519,8 @@ def test_budget_errors_are_loud():
     with pytest.raises(BudgetExceededError):
         verify_rescue(U1, budget=5)
     with pytest.raises(BudgetExceededError):
-        cds_maximal_lengths(U1, budget=5)
+        # U1's greedy cds run is 4 steps, 5 positions
+        cds_maximal_lengths(U1, budget=4)
     with pytest.raises(BudgetExceededError):
         cds_reachable_fixed_points(U1, budget=5)
     with pytest.raises(BudgetExceededError):
@@ -546,4 +547,7 @@ def test_cds_same_length_exhaustive_n6():
     memo: dict = {}
     tracker = Tracker(10_000_000)
     for entries in all_signed_permutations(6):
-        assert len(mask_lengths(cds_length_mask(entries, memo, tracker))) == 1
+        lengths = mask_lengths(cds_length_mask(entries, memo, tracker))
+        assert len(lengths) == 1
+        # so cds_maximal_lengths may answer from the greedy run
+        assert cds_maximal_lengths(entries) == frozenset(lengths)

@@ -191,6 +191,20 @@ def test_verify_on_deep_input_is_an_error_line(capsys):
     assert err == "error: cdr runs from this input are too long for the exhaustive search\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_verify_rejects_lengths_below_one(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "--property", "rescue", "--n", n, "--exhaustive")
+    assert code == 1 and out == ""
+    assert err == f"error: a sweep needs n >= 1 and samples >= 0, got n={n}, samples=0\n"
+
+
+def test_verify_rejects_negative_sample_counts(capsys):
+    code, out, err = run_cli(capsys, "verify", "--property", "steps", "--n", "1",
+                             "--samples", "-3")
+    assert code == 1 and out == ""
+    assert err == "error: a sweep needs n >= 1 and samples >= 0, got n=1, samples=-3\n"
+
+
 def test_verify_requires_mode(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--property", "parity", "--n", "3"])

@@ -136,10 +136,32 @@ def test_budget_is_one_unit_per_reachable_state(entries):
     assert enumerate_cdr_fixed_points(entries, budget=states).complete
     assert not enumerate_cdr_fixed_points(entries, budget=states - 1).complete
     cds_states = len(reachable_states(entries, cds_children))
-    for query in (cds_maximal_lengths, cds_reachable_fixed_points):
-        query(entries, budget=cds_states)
-        with pytest.raises(BudgetExceededError):
-            query(entries, budget=cds_states - 1)
+    cds_reachable_fixed_points(entries, budget=cds_states)
+    with pytest.raises(BudgetExceededError):
+        cds_reachable_fixed_points(entries, budget=cds_states - 1)
+    # the cds run lengths come from the greedy run: its positions, not the
+    # states, are the budget
+    steps = analysis.greedy_cds_run(entries)[1]
+    assert cds_maximal_lengths(entries, budget=steps + 1) == frozenset((steps,))
+    with pytest.raises(BudgetExceededError):
+        cds_maximal_lengths(entries, budget=steps)
+
+
+def _cds_fold_lengths(entries) -> frozenset:
+    """The maximal cds run lengths by the fold over the cds move graph."""
+    return frozenset(analysis.mask_lengths(
+        analysis.cds_length_mask(entries, {}, Tracker(analysis.DEFAULT_BUDGET))))
+
+
+@given(signed_perms(10))
+def test_cds_maximal_lengths_match_fold(entries):
+    assert cds_maximal_lengths(entries) == _cds_fold_lengths(entries)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_cds_maximal_lengths_match_fold_on_fixtures(name):
+    entries = fixtures()[name].entries
+    assert cds_maximal_lengths(entries) == _cds_fold_lengths(entries)
 
 
 def test_sorting_lengths_spend_one_unit_per_witness_position():
@@ -208,6 +230,7 @@ def _fold_sorting_lengths(fold_enum, n) -> frozenset:
     return frozenset(fold_enum.by_fixed_point.get(SignedPermutation(identity_entries(n)), ()))
 
 
+@pytest.mark.slow
 def test_walk_queries_match_fold_exhaustively(monkeypatch):
     expanded = _expansions(monkeypatch)
     for n in range(1, 7):

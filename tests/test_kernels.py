@@ -1,0 +1,78 @@
+"""The ops kernels against cdr and cds read off perm.pointer_occurrences.
+
+tests/oracles.py builds each move pointer by pointer from the public
+occurrence list, with no ops kernel: a pointer's two occurrences, their keys,
+cuts and entry signs.  Every kernel must agree with it: _arcs on the keys
+and homogeneity (ops keys are the 1-based occurrence keys minus 2, and a
+key's cut is (key + 1) >> 1), _cds_moves, _cds_children, _apply_cds and
+cds_applicable on which pairs apply and what they give, and _cdr_moves and
+_apply_cdr on the same for cdr.  Exhaustive for n <= 6, by hypothesis up to
+n = 60.
+"""
+import itertools
+
+import pytest
+from hypothesis import given
+
+from cdsort import ops
+from cdsort.analysis import greedy_cds_run
+from cdsort.ops import NotApplicableError, cds_applicable
+from cdsort.perm import all_signed_permutations
+
+from oracles import cdr_moves_by_occurrences, cds_moves_by_occurrences, occurrence_pairs
+from test_fold import signed_perms
+
+
+def applied(kernel, entries, *move):
+    """The kernel's result, or None when it raises NotApplicableError."""
+    try:
+        return kernel(entries, *move)
+    except NotApplicableError:
+        return None
+
+
+def check_kernels(entries):
+    pairs = occurrence_pairs(entries)
+    arcs = ops._arcs(entries)
+    assert arcs == [(o1.key - 2, o2.key - 2, o1.entry_sign == o2.entry_sign)
+                    for o1, o2 in pairs]
+    assert [((k1 + 1) >> 1, (k2 + 1) >> 1) for k1, k2, _ in arcs] == [
+        (o1.cut, o2.cut) for o1, o2 in pairs]
+
+    cds = dict(cds_moves_by_occurrences(entries))
+    assert ops._cds_moves(entries) == list(cds)
+    assert list(ops._cds_children(entries)) == list(cds.values())
+    for p, q in itertools.combinations(range(1, len(entries)), 2):
+        assert cds_applicable(entries, p, q) == ((p, q) in cds)
+        assert applied(ops._apply_cds, entries, p, q) == cds.get((p, q))
+
+    cdr = dict(cdr_moves_by_occurrences(entries))
+    assert ops._cdr_moves(entries) == list(cdr)
+    for i in range(1, len(entries)):
+        assert applied(ops._apply_cdr, entries, i) == cdr.get(i)
+
+
+@pytest.mark.slow
+def test_kernels_match_occurrences_exhaustively():
+    for n in range(1, 7):
+        for entries in all_signed_permutations(n):
+            check_kernels(entries)
+
+
+@given(signed_perms(60))
+def test_kernels_match_occurrences(entries):
+    check_kernels(entries)
+
+
+def greedy_run_by_occurrences(entries):
+    """The first applicable cds, in canonical order, until none remains."""
+    taken = []
+    while moves := cds_moves_by_occurrences(entries):
+        pq, entries = moves[0]
+        taken.append(pq)
+    return entries, len(taken), taken
+
+
+@given(signed_perms(60))
+def test_greedy_cds_run_matches_occurrences(entries):
+    assert greedy_cds_run(entries) == greedy_run_by_occurrences(entries)

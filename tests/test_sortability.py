@@ -5,6 +5,7 @@ greedy-safe total sequence; the memoized move-graph DP in analysis stays the
 ground truth.  The exhaustive checks stop at n = 6 so that they fit in tier-1;
 hypothesis covers n = 7..10.
 """
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -83,6 +84,7 @@ def test_other_strand_keeps_moves_and_commutes_with_cdr_exhaustively():
                 assert ops._apply_cdr(strand, i) == other_strand(ops._apply_cdr(entries, i))
 
 
+@pytest.mark.slow
 def test_search_matches_dp_oracle_exhaustively():
     memo: dict = {}
     tracker = analysis.Tracker(analysis.DEFAULT_BUDGET)
