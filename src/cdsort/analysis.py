@@ -203,19 +203,6 @@ def mask_lengths(mask: int) -> tuple[int, ...]:
     return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def greedy_cds_run(entries: Entries) -> tuple[Entries, int, list]:
-    """Apply the first applicable cds (canonical order) until none remains.
-    Returns (end state, step count, moves taken)."""
-    taken = []
-    while True:
-        arcs = ops._arcs(entries)
-        pq = next(ops._cds_pairs(arcs), None)
-        if pq is None:
-            return entries, len(taken), taken
-        entries = ops._swap(entries, arcs[pq[0] - 1], arcs[pq[1] - 1])
-        taken.append(pq)
-
-
 # ---------------------------------------------------------------------------
 # sortability
 
@@ -406,20 +393,14 @@ def indiscriminate_cdr_trace(p, *, prefix_moves: Sequence[int] = (), rng=None) -
     """Run cdr to a fixed point, choosing the lowest applicable pointer at each
     step (or a seeded random one when rng is given).  prefix_moves are applied
     first, strictly, and count as ordinary steps."""
-    start = as_entries(p)
-    entries = start
-    taken = []
-    for i in prefix_moves:
-        entries = ops._apply_cdr(entries, i)
-        taken.append(("cdr", i))
-    while True:
-        moves = ops._cdr_moves(entries)
-        if not moves:
-            break
+    trace = ops.SortTrace.from_moves(p, [("cdr", i) for i in prefix_moves])
+    steps = list(trace.steps)
+    current = trace.final
+    while moves := ops.applicable_cdr_moves(current):
         i = moves[0] if rng is None else rng.choice(moves)
-        entries = ops._apply_cdr(entries, i)
-        taken.append(("cdr", i))
-    return ops.SortTrace.from_moves(start, taken)
+        current = ops.apply_cdr(current, i)
+        steps.append(ops.TraceStep("cdr", i, current))
+    return ops.SortTrace(trace.initial, tuple(steps))
 
 
 def cds_sortable_greedy(p, target: str = "identity") -> tuple[bool, int]:
@@ -429,14 +410,14 @@ def cds_sortable_greedy(p, target: str = "identity") -> tuple[bool, int]:
     every maximal cds run sorts it, and all such runs have one length."""
     entries = as_entries(p)
     goal = _target_entries(target, len(entries))
-    end, steps, _ = greedy_cds_run(entries)
+    end, steps, _ = ops.greedy_cds_run(entries)
     return end == goal, steps
 
 
 def greedy_cds_trace(p, target: str = "identity") -> tuple[ops.SortTrace, bool]:
     entries = as_entries(p)
     goal = _target_entries(target, len(entries))
-    end, _, taken = greedy_cds_run(entries)
+    end, _, taken = ops.greedy_cds_run(entries)
     trace = ops.SortTrace.from_moves(entries, [("cds", pq) for pq in taken])
     return trace, end == goal
 
@@ -482,7 +463,7 @@ def verify_rescue(p, budget: int = DEFAULT_BUDGET) -> RescueReport:
     goal = identity_entries(len(perm))
     rescued = []
     for fp, lengths in sorted(enum.by_fixed_point.items(), key=lambda kv: (kv[1], kv[0].entries)):
-        end, steps, _ = greedy_cds_run(fp.entries)
+        end, steps, _ = ops.greedy_cds_run(fp.entries)
         rescued.append(RescuedFixedPoint(fp, lengths, steps, end == goal))
     return RescueReport(perm, tuple(rescued), enum.complete)
 
@@ -505,7 +486,7 @@ def cdr_steps(p, *, prefix_moves: Sequence[int] = (), budget: int = DEFAULT_BUDG
     sorting_length = len(witness)
     trace = indiscriminate_cdr_trace(entries, prefix_moves=prefix_moves)
     k = len(trace.steps)
-    end, m, _ = greedy_cds_run(trace.final.entries)
+    end, m, _ = ops.greedy_cds_run(trace.final.entries)
     if not is_identity(end):
         raise TheoremViolationError(
             f"greedy cds failed to rescue fixed point {SignedPermutation(trace.final.entries)}"
@@ -550,7 +531,7 @@ def greedy_safe_total_sequence(p) -> tuple[int, ...]:
         raise ValueError("overlap graph has an unoriented component; no total sequence exists")
     # a move leaves its vertex isolated and unoriented for good, so play
     # makes at most one move per vertex
-    return graphmod.labels_at(g, _safe_ranks(g, Tracker(len(g.vertices))))
+    return graphmod.labels_at(g, _safe_ranks(g, Tracker(len(graphmod.masks(g)[0]))))
 
 
 def _safe_ranks(g: graphmod.OrientedGraph, tracker: Tracker) -> list[int]:
@@ -639,7 +620,7 @@ def cds_maximal_lengths(p, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Lengths of all maximal cds move sequences from p: every maximal cds run
     has one length (a known result the paper cites), so the greedy run's.  The
     budget counts the greedy run's positions, as in cdr_sorting_lengths."""
-    _, steps, _ = greedy_cds_run(as_entries(p))
+    _, steps, _ = ops.greedy_cds_run(as_entries(p))
     if steps >= budget:
         raise BudgetExceededError("search budget exhausted")
     return frozenset((steps,))

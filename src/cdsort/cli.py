@@ -16,7 +16,7 @@ import sys
 
 from . import analysis, games, verify
 from .graph import build_overlap_graph, graph_from_text, to_dot, to_text
-from .ops import NotApplicableError, SortTrace, apply_cdr, apply_cds
+from .ops import NotApplicableError, SortTrace, TraceStep, apply_cdr, apply_cds
 from .perm import PermutationError, SignedPermutation, fixtures
 
 
@@ -46,10 +46,6 @@ def _resolve_perm(args) -> SignedPermutation:
     raise PermutationError(f"no permutation found in {args.file}")
 
 
-def _print_trace(trace: SortTrace) -> None:
-    print(str(trace))
-
-
 def cmd_graph(args) -> int:
     g = build_overlap_graph(_resolve_perm(args))
     text = to_dot(g) if args.format == "dot" else to_text(g)
@@ -62,8 +58,8 @@ def cmd_apply(args) -> int:
     if args.op == "cdr":
         if args.pointer is None:
             raise PermutationError("--op cdr needs --pointer I")
-        result = apply_cdr(perm, args.pointer)
-        trace = SortTrace.from_moves(perm, [("cdr", args.pointer)])
+        move = args.pointer
+        result = apply_cdr(perm, move)
     else:
         if args.pointers is None:
             raise PermutationError("--op cds needs --pointers I,J")
@@ -71,10 +67,9 @@ def cmd_apply(args) -> int:
             i, j = (int(t) for t in args.pointers.split(","))
         except ValueError:
             raise PermutationError(f"--pointers expects two integers, got {args.pointers!r}") from None
+        move = (min(i, j), max(i, j))
         result = apply_cds(perm, i, j)
-        trace = SortTrace.from_moves(perm, [("cds", (min(i, j), max(i, j)))])
-    assert trace.final == result
-    _print_trace(trace)
+    print(SortTrace(perm, (TraceStep(args.op, move, result),)))
     return 0
 
 
@@ -89,8 +84,7 @@ def cmd_sort(args) -> int:
             print("status undecided (budget exhausted)")
             return 1
         if not sortable:
-            trace = SortTrace(perm, ())
-            _print_trace(trace)
+            print(SortTrace(perm, ()))
             print("status not-cdr-sortable")
             return 0
         trace = SortTrace.from_moves(perm, [("cdr", i) for i in witness])
@@ -103,12 +97,12 @@ def cmd_sort(args) -> int:
         if args.allow_cds:
             cds_trace, _ = analysis.greedy_cds_trace(trace.final)
             m = len(cds_trace.steps)
-            trace = SortTrace.from_moves(perm, trace.moves() + cds_trace.moves())
-            _print_trace(trace)
+            trace = SortTrace(perm, trace.steps + cds_trace.steps)
+            print(trace)
             print(f"k={k}, m={m}, k+2m={k + 2 * m}")
             print(f"status {'sorted' if trace.final.is_identity() else 'not-sorted'}")
             return 0
-    _print_trace(trace)
+    print(trace)
     status = "sorted" if trace.final.is_identity() else "not-sorted"
     print(f"status {status} steps={len(trace.steps)}")
     return 0

@@ -20,6 +20,10 @@ default would corrupt step counting, so it is never the default.
 
 Module-level helpers prefixed with an underscore work on raw entries tuples
 and skip validation; they are the kernels the search and sweep code runs on.
+greedy_cds_run is one too, public because analysis and verify run it, so
+that only this module reads the cds arc table.  Every trace, by contrast,
+takes the strict public step: _apply_move applies one ("cdr", i) or
+("cds", (i, j)) move with full checks.
 """
 from __future__ import annotations
 
@@ -214,6 +218,19 @@ def _cds_children(entries: Entries) -> Iterator[Entries]:
         yield _swap(entries, arcs[p - 1], arcs[q - 1])
 
 
+def greedy_cds_run(entries: Entries) -> tuple[Entries, int, list]:
+    """Apply the first applicable cds (canonical order) until none remains.
+    Returns (end state, step count, moves taken)."""
+    taken = []
+    while True:
+        arcs = _arcs(entries)
+        pq = next(_cds_pairs(arcs), None)
+        if pq is None:
+            return entries, len(taken), taken
+        entries = _swap(entries, arcs[pq[0] - 1], arcs[pq[1] - 1])
+        taken.append(pq)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -307,6 +324,15 @@ def is_cds_fixed_point(p) -> bool:
 # traces
 
 
+def _apply_move(current: SignedPermutation, kind: str, move) -> SignedPermutation:
+    """The strict step every trace takes: ("cdr", i) or ("cds", (i, j))."""
+    if kind == "cdr":
+        return apply_cdr(current, move)
+    if kind == "cds":
+        return apply_cds(current, *move)
+    raise ValueError(f"unknown move kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class TraceStep:
     kind: str                       # "cdr" | "cds"
@@ -336,12 +362,7 @@ class SortTrace:
         start = current
         steps = []
         for kind, move in moves:
-            if kind == "cdr":
-                current = apply_cdr(current, move)
-            elif kind == "cds":
-                current = apply_cds(current, *move)
-            else:
-                raise ValueError(f"unknown move kind {kind!r}")
+            current = _apply_move(current, kind, move)
             steps.append(TraceStep(kind, move, current))
         return cls(start, tuple(steps))
 
@@ -356,10 +377,7 @@ class SortTrace:
         """Re-apply every move and confirm each recorded intermediate state."""
         current = self.initial
         for step in self.steps:
-            if step.kind == "cdr":
-                current = apply_cdr(current, step.move)
-            else:
-                current = apply_cds(current, *step.move)
+            current = _apply_move(current, step.kind, step.move)
             if current != step.result:
                 return False
         return True

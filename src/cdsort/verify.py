@@ -98,7 +98,7 @@ class _SweepContext:
     def greedy_cds(self, entries: Entries):
         hit = self.greedy_cache.get(entries)
         if hit is None:
-            end, steps, _ = analysis.greedy_cds_run(entries)
+            end, steps, _ = ops.greedy_cds_run(entries)
             hit = (end, steps)
             self.greedy_cache[entries] = hit
         return hit

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from cdsort import ops
 from cdsort.analysis import (
     BudgetExceededError,
     TheoremViolationError,
@@ -232,6 +233,33 @@ def test_indiscriminate_run_random_policy_is_seeded():
     assert a.moves() == b.moves()
     assert is_cdr_fixed_point(a.final)
     assert len(a.steps) in {1, 3, 5}
+
+
+def test_indiscriminate_run_applies_each_move_once(monkeypatch):
+    calls = []
+    kernel = ops._apply_cdr
+
+    def counted(entries, i):
+        calls.append(i)
+        return kernel(entries, i)
+
+    monkeypatch.setattr(ops, "_apply_cdr", counted)
+    trace = indiscriminate_cdr_trace(U1)
+    assert len(trace.steps) == 12
+    assert calls == [step.move for step in trace.steps]
+
+
+@pytest.mark.parametrize("run, p", [
+    (indiscriminate_cdr_trace, (-2, 1)),
+    (indiscriminate_cdr_trace, (3, -1, 4, -2, 5, 6)),
+    (cdr_steps, (3, -1, 4, -2, 5, 6)),
+])
+@pytest.mark.parametrize("at_end", [False, True])
+def test_prefix_pointer_out_of_range(run, p, at_end):
+    n = len(p)
+    pointer = n if at_end else 0
+    with pytest.raises(ValueError, match=rf"^pointer {pointer} out of range 1\.\.{n - 1}$"):
+        run(p, prefix_moves=[pointer])
 
 
 def test_cds_greedy_examples():

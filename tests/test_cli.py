@@ -69,6 +69,23 @@ def test_apply_cds_example(capsys):
     assert out.splitlines()[-1] == "final [3, 4, 8, 1, 5, 2, 6, 7]"
 
 
+def test_apply_cds_prints_the_canonical_pair(capsys):
+    code, out, err = run_cli(
+        capsys, "apply", "[3,6,5,2,4,8,1,7]", "--op", "cds", "--pointers", "6,3"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "initial [3, 6, 5, 2, 4, 8, 1, 7]",
+        "step 1 cds (3,4),(6,7) [3, 4, 8, 1, 5, 2, 6, 7]",
+        "final [3, 4, 8, 1, 5, 2, 6, 7]",
+    ]
+
+
+def test_apply_cds_checks_pointers_in_the_given_order(capsys):
+    code, out, err = run_cli(capsys, "apply", "[1,2,3,4,5]", "--op", "cds", "--pointers", "9,0")
+    assert (code, out, err) == (1, "", "error: pointer 9 out of range 1..4\n")
+
+
 def test_apply_not_applicable_fails(capsys):
     code, out, err = run_cli(capsys, "apply", "[1,2,3]", "--op", "cdr", "--pointer", "1")
     assert code == 1 and out == ""

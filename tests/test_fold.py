@@ -141,7 +141,7 @@ def test_budget_is_one_unit_per_reachable_state(entries):
         cds_reachable_fixed_points(entries, budget=cds_states - 1)
     # the cds run lengths come from the greedy run: its positions, not the
     # states, are the budget
-    steps = analysis.greedy_cds_run(entries)[1]
+    steps = ops.greedy_cds_run(entries)[1]
     assert cds_maximal_lengths(entries, budget=steps + 1) == frozenset((steps,))
     with pytest.raises(BudgetExceededError):
         cds_maximal_lengths(entries, budget=steps)

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given
 
 from cdsort import ops
-from cdsort.analysis import greedy_cds_run
-from cdsort.ops import NotApplicableError, cds_applicable
+from cdsort.ops import NotApplicableError, cds_applicable, greedy_cds_run
 from cdsort.perm import all_signed_permutations
 
 from oracles import cdr_moves_by_occurrences, cds_moves_by_occurrences, occurrence_pairs

@@ -279,6 +279,15 @@ def test_trace_replay_detects_corruption():
     assert not forged.replays()
 
 
+def test_trace_replay_rejects_unknown_kind():
+    from cdsort.ops import TraceStep
+
+    honest = SortTrace.from_moves((3, 6, 5, 2, 4, 8, 1, 7), [("cds", (3, 6))])
+    forged = SortTrace(honest.initial, (TraceStep("swap", (3, 6), honest.final),))
+    with pytest.raises(ValueError, match="unknown move kind 'swap'"):
+        forged.replays()
+
+
 def test_empty_trace():
     trace = SortTrace.from_moves((1, 2), [])
     assert trace.final.entries == (1, 2)
