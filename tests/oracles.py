@@ -1,23 +1,36 @@
-"""Independent brute-force oracles for the tests.
+"""Independent brute-force oracles, and the inputs the test modules share.
 
-These deliberately avoid the memoized dynamic programming used by the package:
-they enumerate entire move trees path by path, so they stay trustworthy as a
-cross-check even if the production search logic changes.  The cds move tree
-and the overlap graph are read off perm.pointer_occurrences pointer by
-pointer, not from the ops kernels they check.  Only usable at toy
-sizes.  The one exception is the fold section, which keeps the memoized
-fold's answers to the queries now served by analysis.walk, budget behaviour
-included, as the reference for the walk; and the last three sections, which
-keep earlier versions verbatim as the reference for their rewrites: the
-minimax search, the text and DOT forms, the oriented-sequence check, the
-total extension, the cdr children kernel, the fold, the run counts, the
-exhaustive input generator and the text form of a permutation.
+The oracles deliberately avoid the memoized dynamic programming used by the
+package: they enumerate entire move trees path by path, so they stay
+trustworthy as a cross-check even if the production search logic changes.
+The cds move tree and the overlap graph are read off perm.pointer_occurrences
+pointer by pointer, not from the ops kernels they check.  The cdr move tree
+reads ops._cdr_moves and ops._apply_cdr, which test_kernels.check_kernels
+ties to the same occurrence oracle.  Only usable at toy sizes.
+
+The fold section keeps the memoized fold's answers to the queries now served
+by analysis.walk, budget behaviour included, as the reference for the walk.
+The last three sections keep earlier versions verbatim as the reference for
+their rewrites:
+
+- minimax_closure: the game-tree search;
+- to_text_edge_list, graph_from_text_sets, to_dot_edge_list: the text and
+  DOT forms;
+- is_oriented_sequence_by_gcdr: the oriented-sequence check;
+- extend_to_total_by_sizes: the total extension;
+- fold_by_comprehension: the fold;
+- maximal_sequence_lengths_by_dicts: the run counts as one dict per state
+  (it folds over ops._cdr_children, so it checks only the count packing);
+- all_signed_permutations_by_masks: the exhaustive input generator;
+- format_entries_by_generator: the text form of a permutation.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from typing import Iterator, Sequence
+
+from hypothesis import strategies as st
 
 from cdsort import analysis, ops
 from cdsort import graph as graphmod
@@ -38,6 +51,38 @@ from cdsort.graph import (
 )
 from cdsort.ops import _apply_cdr, _cdr_moves
 from cdsort.perm import Entries, SignedPermutation, as_entries, pointer_occurrences
+
+
+# ---------------------------------------------------------------------------
+# shared inputs
+
+
+@st.composite
+def signed_perms(draw, min_n, max_n):
+    """A signed permutation of a length drawn from min_n..max_n."""
+    n = draw(st.integers(min_n, max_n))
+    values = draw(st.permutations(list(range(1, n + 1))))
+    signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return tuple(v if s else -v for v, s in zip(values, signs))
+
+
+# [1, -2, 3, -4, ..., -2000]: every pointer oriented, cdr runs of length ~n
+DEEP = tuple(v if v % 2 else -v for v in range(1, 2001))
+
+# labels far apart and out of step with their ranks, so a mix-up of label and
+# rank, or a mask sized by label, shows
+LABELS = (2, 3, 7, 40, 1_000_000_000)
+
+
+def all_oriented_graphs(k):
+    """Every oriented graph on the first k of LABELS, as frozenset triples."""
+    verts = LABELS[:k]
+    pairs = list(itertools.combinations(verts, 2))
+    for edge_mask in range(1 << len(pairs)):
+        edges = frozenset(p for b, p in enumerate(pairs) if edge_mask >> b & 1)
+        for ori_mask in range(1 << k):
+            oriented = frozenset(v for b, v in enumerate(verts) if ori_mask >> b & 1)
+            yield frozenset(verts), edges, oriented
 
 
 # ---------------------------------------------------------------------------
@@ -447,37 +492,10 @@ def extend_to_total_by_sizes(p, maxseq, budget=analysis.DEFAULT_BUDGET):
 
 # ---------------------------------------------------------------------------
 # the exhaustive engine and the sweep inputs and records as they were before
-# their per-state and per-record costs were cut, kept verbatim: the cdr
-# children kernel with a sign array, the fold with a comprehension per state
-# and a memo lookup on each side of the call, the run counts as one dict per
-# state, the input generator with a sign mask per input, and the text form
-# through a generator
-
-
-def cdr_children_by_signs(entries: Entries) -> Iterator[Entries]:
-    """The result of cdr at each applicable pointer, in increasing pointer
-    order: the states _apply_cdr gives at the pointers _cdr_moves lists."""
-    n = len(entries)
-    at = [0] * (n + 1)
-    sign = [False] * (n + 1)
-    for j, v in enumerate(entries):
-        if v > 0:
-            at[v] = j
-            sign[v] = True
-        else:
-            at[-v] = j
-    flipped = tuple([-v for v in entries[::-1]])
-    for i in range(1, n):
-        pos = sign[i]
-        if pos == sign[i + 1]:
-            continue
-        # both cuts of pointer i sit after their entries when value i is
-        # positive (so i+1 is negative), before them otherwise; see _apply_cdr
-        g1 = at[i] + pos
-        g2 = at[i + 1] + pos
-        if g1 > g2:
-            g1, g2 = g2, g1
-        yield entries[:g1] + flipped[n - g2:n - g1] + entries[g2:]
+# their per-state and per-record costs were cut, kept verbatim: the fold with
+# a comprehension per state and a memo lookup on each side of the call, the
+# run counts as one dict per state, the input generator with a sign mask per
+# input, and the text form through a generator
 
 
 def fold_by_comprehension(entries: Entries, memo: dict, tracker: Tracker, children, leaf,
@@ -505,7 +523,7 @@ def maximal_sequence_lengths_by_dicts(p, budget: int = analysis.DEFAULT_BUDGET) 
     """Multiset of lengths over all maximal cdr move sequences from p, as a
     Counter mapping length -> number of sequences."""
     return Counter(fold_by_comprehension(as_entries(p), {}, Tracker(budget),
-                                         cdr_children_by_signs, lambda _: {0: 1},
+                                         ops._cdr_children, lambda _: {0: 1},
                                          _extend_count_dicts))
 
 

@@ -11,6 +11,8 @@ from cdsort.graph import gf2_rank, graph_from_text, overlap_masks, to_text
 from cdsort.ops import SortTrace
 from cdsort.perm import fixtures, parse_entries
 
+from oracles import DEEP
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -382,16 +384,15 @@ def test_fixed_points_budget_flag(capsys):
 
 
 def test_fixed_points_on_deep_input_answers(capsys):
-    # [1, -2, 3, ..., -2000]: the walk's first run reaches a fixed point after
-    # 1000 moves, so 1001 states cover that run and no more
-    deep = tuple(v if v % 2 else -v for v in range(1, 2001))
-    code, out, err = run_cli(capsys, "fixed-points", str(list(deep)), "--budget", "1001")
+    # DEEP: the walk's first run reaches a fixed point after 1000 moves, so
+    # 1001 states cover that run and no more
+    code, out, err = run_cli(capsys, "fixed-points", str(list(DEEP)), "--budget", "1001")
     assert code == 0 and err == ""
     line, status = out.splitlines()
     assert status == "incomplete (budget exhausted)"
     fp, _, steps = line.partition(" steps=")
     assert steps == "1000"
-    assert gf2_rank(*overlap_masks(deep)) - gf2_rank(*overlap_masks(parse_entries(fp))) == 1000
+    assert gf2_rank(*overlap_masks(DEEP)) - gf2_rank(*overlap_masks(parse_entries(fp))) == 1000
 
 
 def test_fixtures_listing(capsys):

@@ -25,6 +25,8 @@ from cdsort.graph import (
 from cdsort.perm import all_signed_permutations, random_signed_permutation
 
 from oracles import (
+    LABELS,
+    all_oriented_graphs,
     component_report_sets,
     gcdr_sets,
     graph_sets,
@@ -39,22 +41,6 @@ from oracles import (
     to_dot_edge_list,
     to_text_edge_list,
 )
-
-# labels far apart and out of step with their ranks, so a mix-up of label and
-# rank, or a mask sized by label, shows
-LABELS = (2, 3, 7, 40, 1_000_000_000)
-
-
-def all_oriented_graphs(k):
-    """Every oriented graph on the first k of LABELS, as frozenset triples."""
-    verts = LABELS[:k]
-    pairs = list(itertools.combinations(verts, 2))
-    for edge_mask in range(1 << len(pairs)):
-        edges = frozenset(p for b, p in enumerate(pairs) if edge_mask >> b & 1)
-        for ori_mask in range(1 << k):
-            oriented = frozenset(v for b, v in enumerate(verts) if ori_mask >> b & 1)
-            yield frozenset(verts), edges, oriented
-
 
 def report_sets(g):
     report = component_report(g)

@@ -5,10 +5,11 @@ occurrence list, with no ops kernel: a pointer's two occurrences, their keys,
 cuts and entry signs.  Every kernel must agree with it: _arcs on the keys
 and homogeneity (ops keys are the 1-based occurrence keys minus 2, and a
 key's cut is (key + 1) >> 1), _cds_moves, _cds_children, _apply_cds and
-cds_applicable on which pairs apply and what they give, and _cdr_moves and
-_apply_cdr on the same for cdr.  Exhaustive for n <= 6, by hypothesis up to
-n = 60.
+cds_applicable on which pairs apply and what they give, and _cdr_moves,
+_apply_cdr and _cdr_children on the same for cdr (_cdr_children lazily, as a
+generator).  Exhaustive for n <= 6, by hypothesis up to n = 60.
 """
+import inspect
 import itertools
 
 import pytest
@@ -18,8 +19,12 @@ from cdsort import ops
 from cdsort.ops import NotApplicableError, cds_applicable, greedy_cds_run
 from cdsort.perm import all_signed_permutations
 
-from oracles import cdr_moves_by_occurrences, cds_moves_by_occurrences, occurrence_pairs
-from test_fold import signed_perms
+from oracles import (
+    cdr_moves_by_occurrences,
+    cds_moves_by_occurrences,
+    occurrence_pairs,
+    signed_perms,
+)
 
 
 def applied(kernel, entries, *move):
@@ -47,6 +52,9 @@ def check_kernels(entries):
 
     cdr = dict(cdr_moves_by_occurrences(entries))
     assert ops._cdr_moves(entries) == list(cdr)
+    children = ops._cdr_children(entries)
+    assert inspect.isgenerator(children)
+    assert list(children) == list(cdr.values())
     for i in range(1, len(entries)):
         assert applied(ops._apply_cdr, entries, i) == cdr.get(i)
 
@@ -58,7 +66,7 @@ def test_kernels_match_occurrences_exhaustively():
             check_kernels(entries)
 
 
-@given(signed_perms(60))
+@given(signed_perms(1, 60))
 def test_kernels_match_occurrences(entries):
     check_kernels(entries)
 
@@ -72,6 +80,6 @@ def greedy_run_by_occurrences(entries):
     return entries, len(taken), taken
 
 
-@given(signed_perms(60))
+@given(signed_perms(1, 60))
 def test_greedy_cds_run_matches_occurrences(entries):
     assert greedy_cds_run(entries) == greedy_run_by_occurrences(entries)

@@ -3,7 +3,6 @@ from collections import Counter
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from cdsort.ops import (
     NotApplicableError,
@@ -22,13 +21,7 @@ from cdsort.ops import (
 from cdsort.graph import build_overlap_graph, gcdr, try_gcdr
 from cdsort.perm import SignedPermutation, all_signed_permutations, random_signed_permutation
 
-
-@st.composite
-def signed_perms(draw, max_n=10):
-    n = draw(st.integers(2, max_n))
-    values = draw(st.permutations(list(range(1, n + 1))))
-    signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return tuple(v if s else -v for v, s in zip(values, signs))
+from oracles import signed_perms
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +184,7 @@ def test_cds_move_enumeration():
     assert all(p < q for p, q in moves)
 
 
-@given(signed_perms())
+@given(signed_perms(2, 10))
 def test_move_enumeration_matches_predicates(entries):
     n = len(entries)
     cdr = applicable_cdr_moves(entries)

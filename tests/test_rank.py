@@ -24,11 +24,7 @@ from cdsort.graph import (
 )
 from cdsort.perm import all_signed_permutations, random_signed_permutation
 
-from oracles import parity_by_playout
-from test_graph_oracles import all_oriented_graphs
-
-# [1, -2, 3, -4, ..., -2000]: every pointer oriented, cdr runs of length ~n
-DEEP = tuple(v if v % 2 else -v for v in range(1, 2001))
+from oracles import DEEP, all_oriented_graphs, parity_by_playout
 
 
 def rank(g):

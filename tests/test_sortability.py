@@ -7,7 +7,6 @@ hypothesis covers n = 7..10.
 """
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from cdsort import analysis, ops
 from cdsort.analysis import (
@@ -25,8 +24,7 @@ from cdsort.perm import (
     reverse_identity_entries,
 )
 
-# [1, -2, 3, -4, ..., -2000]: every pointer oriented, cdr runs of length ~n
-DEEP = tuple(v if v % 2 else -v for v in range(1, 2001))
+from oracles import DEEP, signed_perms
 
 
 def other_strand(entries):
@@ -37,14 +35,6 @@ def replay(entries, witness):
     for i in witness:
         entries = ops._apply_cdr(entries, i)
     return entries
-
-
-@st.composite
-def signed_perms(draw, min_n, max_n):
-    n = draw(st.integers(min_n, max_n))
-    values = draw(st.permutations(list(range(1, n + 1))))
-    signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return tuple(v if s else -v for v, s in zip(values, signs))
 
 
 def dp_fixed_points(entries, memo, tracker):
