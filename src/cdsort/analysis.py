@@ -9,12 +9,19 @@ walk, an iterative pre-order walk, backs the queries that only need which
 fixed points are reachable and at what depth: cdr fixed points and cds fixed
 points.  fold, a memoized recursion, backs maximal_sequence_lengths,
 criterion_discrepancies, the property sweeps, and the tests that check the
-fast decision against it.  Every maximal cds run has one length, so
-cds_maximal_lengths reads the greedy run.  The overlap-graph criterion ("no
-unoriented component") is exposed separately: it is silent about isolated
-unoriented vertices whose arc is not an adjacency -- [2, 1] has no
-component at all, no applicable move, and is not the identity -- so
-criterion and search can disagree.  Disagreements are reported, never hidden.
+fast decision against it.  enumerate_cdr_fixed_points walks the states of
+ops.cdr_states: one byte per entry up to n = 127, whose hash is cached and
+whose slices are memcpy, and the entries tuple from n = 128 on.  It encodes
+the input once and decodes only the fixed points it returns.  The folds run
+on entries tuples.  The sweeps and criterion_discrepancies share one memo
+across their inputs, so a fold visits few states per input, and encoding
+each input would cost what bytes states save.  Every maximal cds run has
+one length, so cds_maximal_lengths reads the greedy run.  The overlap-graph
+criterion ("no unoriented component") is exposed separately: it is silent
+about isolated unoriented vertices whose arc is not an adjacency -- [2, 1]
+has no component at all, no applicable move, and is not the identity -- so
+criterion and search can disagree.  Disagreements are reported, never
+hidden.
 
 Every search spends one Tracker, one unit per state it visits: for the
 sortability decision and the sorting lengths, the positions of the witness
@@ -126,8 +133,8 @@ def _fold(entries: Entries, memo: dict, spend, children, leaf, combine):
     return res
 
 
-def walk(entries: Entries, tracker: Tracker, children, leaves: dict) -> None:
-    """Depth-first pre-order walk over the states reachable from ``entries``.
+def walk(state, tracker: Tracker, children, leaves: dict) -> None:
+    """Depth-first pre-order walk over the states reachable from ``state``.
 
     Each state spends one unit of ``tracker`` when the walk first enters it,
     and a state without children is recorded in ``leaves`` as
@@ -137,8 +144,8 @@ def walk(entries: Entries, tracker: Tracker, children, leaves: dict) -> None:
     holds one children iterator per level instead of one interpreter frame,
     so a long run needs no recursion.  ``leaves`` belongs to the caller,
     which can still read it after BudgetExceededError.  Its users are the
-    fixed-point queries: enumerate_cdr_fixed_points and
-    cds_reachable_fixed_points.
+    fixed-point queries: enumerate_cdr_fixed_points, on the states of
+    ops.cdr_states, and cds_reachable_fixed_points, on entries tuples.
 
     In the cdr move graph, every run from p to a state s has length
     rank(M_p) - rank(M_s) (see parity), so the depth of a cdr fixed point
@@ -146,9 +153,9 @@ def walk(entries: Entries, tracker: Tracker, children, leaves: dict) -> None:
     """
     spend = tracker.spend
     spend()
-    seen = {entries}
-    path = [entries]
-    stack = [children(entries)]
+    seen = {state}
+    path = [state]
+    stack = [children(state)]
     fresh = True  # the top iterator has yielded nothing yet
     while stack:
         for child in stack[-1]:
@@ -296,7 +303,7 @@ def criterion_discrepancies(n: int, budget: int = DEFAULT_BUDGET):
         if crit != sortable:
             logger.info("criterion/search disagreement at %s: criterion=%s search=%s",
                         entries, crit, sortable)
-            out.append((SignedPermutation(entries), crit, sortable))
+            out.append((SignedPermutation._of(entries), crit, sortable))
     return out
 
 
@@ -323,14 +330,16 @@ def enumerate_cdr_fixed_points(p, budget: int = DEFAULT_BUDGET) -> FixedPointEnu
     length, the depth at which the walk met it.  When the budget runs out,
     the fixed points met so far are listed, each with that exact length.
     """
+    root, children, decode = ops.cdr_states(as_entries(p))
     leaves: dict = {}
     try:
-        walk(as_entries(p), Tracker(budget), ops._cdr_children, leaves)
+        walk(root, Tracker(budget), children, leaves)
         complete = True
     except BudgetExceededError:
         complete = False
     return FixedPointEnumeration(
-        {SignedPermutation(fp): (length,) for fp, length in leaves.items()}, complete)
+        {SignedPermutation._of(decode(fp)): (length,) for fp, length in leaves.items()},
+        complete)
 
 
 def maximal_sequence_lengths(p, budget: int = DEFAULT_BUDGET) -> Counter:
@@ -456,7 +465,7 @@ class RescueReport:
 def verify_rescue(p, budget: int = DEFAULT_BUDGET) -> RescueReport:
     """For a cdr-sortable permutation, check that greedy cds finishes every
     reachable cdr fixed point."""
-    perm = SignedPermutation(as_entries(p))
+    perm = SignedPermutation._of(as_entries(p))
     if _sorting_witness(perm.entries, Tracker(budget)) is None:
         raise ValueError(f"{perm} is not cdr-sortable; the rescue property does not apply")
     enum = enumerate_cdr_fixed_points(perm, budget)
@@ -630,4 +639,4 @@ def cds_reachable_fixed_points(p, budget: int = DEFAULT_BUDGET) -> frozenset[Sig
     """All cds fixed points reachable from p by any cds move sequence."""
     leaves: dict = {}
     walk(as_entries(p), Tracker(budget), ops._cds_children, leaves)
-    return frozenset(map(SignedPermutation, leaves))
+    return frozenset(map(SignedPermutation._of, leaves))

@@ -21,9 +21,13 @@ default would corrupt step counting, so it is never the default.
 Module-level helpers prefixed with an underscore work on raw entries tuples
 and skip validation; they are the kernels the search and sweep code runs on.
 greedy_cds_run is one too, public because analysis and verify run it, so
-that only this module reads the cds arc table.  Every trace, by contrast,
-takes the strict public step: _apply_move applies one ("cdr", i) or
-("cds", (i, j)) move with full checks.
+that only this module reads the cds arc table.  cdr_states is another: it
+hands an exhaustive cdr search its states, bytes up to n = 127 with
+_cdr_children_bytes as their kernel, so that only this module reads that
+layout.  A public operation wraps a kernel's result with
+SignedPermutation._of, which does not validate it again.  Every trace, by
+contrast, takes the strict public step: _apply_move applies one ("cdr", i)
+or ("cds", (i, j)) move with full checks.
 """
 from __future__ import annotations
 
@@ -135,6 +139,56 @@ def _cdr_children(entries: Entries) -> Iterator[Entries]:
             if g1 > g2:
                 g1, g2 = g2, g1
             yield entries[:g1] + flipped[n - g2:n - g1] + entries[g2:]
+        lo_at = hi_at
+        lo = hi
+
+
+# cdr_states gives states of n <= 127 entries as bytes, one byte per entry:
+# its magnitude, plus 0x80 when it is negative.  A bytes object caches its
+# hash and is sliced by memcpy, where a tuple rehashes all n entries at every
+# set or memo lookup and takes a reference per entry per slice.  Only this
+# module reads the layout.
+_NEG = bytes(b ^ 0x80 for b in range(256))              # negates each entry
+_VALUE = tuple(b if b < 0x80 else 0x80 - b for b in range(256))
+
+
+def cdr_states(entries: Entries):
+    """(root, children, decode) for an exhaustive search over the cdr move
+    graph of ``entries``: the root state, the kernel giving a state's
+    children in increasing pointer order, and the map from a state back to
+    its entries.  Bytes states for n <= 127, the entries tuples otherwise."""
+    if len(entries) < 0x80:
+        return bytes([v if v > 0 else 0x80 - v for v in entries]), _cdr_children_bytes, _decode
+    return entries, _cdr_children, tuple
+
+
+def _decode(state: bytes) -> Entries:
+    return tuple([_VALUE[b] for b in state])
+
+
+def _cdr_children_bytes(state: bytes) -> Iterator[bytes]:
+    """_cdr_children on a bytes state: the same pass, with the sign test
+    (lo ^ hi) & 0x80 and the negated reversal one translate."""
+    n = len(state)
+    if n < 2:
+        return
+    at = [0] * (n + 1)
+    for j, b in enumerate(state):
+        at[b & 0x7F] = j
+    flipped = None
+    lo_at = at[1]
+    lo = state[lo_at]
+    for hi_at in at[2:]:
+        hi = state[hi_at]
+        if (lo ^ hi) & 0x80:
+            if flipped is None:
+                flipped = state[::-1].translate(_NEG)
+            pos = lo < 0x80
+            g1 = lo_at + pos
+            g2 = hi_at + pos
+            if g1 > g2:
+                g1, g2 = g2, g1
+            yield state[:g1] + flipped[n - g2:n - g1] + state[g2:]
         lo_at = hi_at
         lo = hi
 
@@ -256,16 +310,16 @@ def apply_cdr(p, i: int) -> SignedPermutation:
     """
     entries = as_entries(p)
     _check_pointer(len(entries), i)
-    return SignedPermutation(_apply_cdr(entries, i))
+    return SignedPermutation._of(_apply_cdr(entries, i))
 
 
 def try_apply_cdr(p, i: int) -> tuple[SignedPermutation, bool]:
     """Lenient cdr: (result, True) when applicable, (input, False) otherwise."""
-    entries = as_entries(p)
+    perm = SignedPermutation._of(as_entries(p))
     try:
-        return apply_cdr(entries, i), True
+        return apply_cdr(perm, i), True
     except NotApplicableError:
-        return SignedPermutation(entries), False
+        return perm, False
 
 
 def cds_applicable(p, i: int, j: int) -> bool:
@@ -289,16 +343,16 @@ def apply_cds(p, i: int, j: int) -> SignedPermutation:
     >>> apply_cds((3, 6, 5, 2, 4, 8, 1, 7), 3, 6).entries
     (3, 4, 8, 1, 5, 2, 6, 7)
     """
-    return SignedPermutation(_apply_cds(_cds_entries(p, i, j), min(i, j), max(i, j)))
+    return SignedPermutation._of(_apply_cds(_cds_entries(p, i, j), min(i, j), max(i, j)))
 
 
 def try_apply_cds(p, i: int, j: int) -> tuple[SignedPermutation, bool]:
     """Lenient cds: (result, True) when applicable, (input, False) otherwise."""
-    entries = as_entries(p)
+    perm = SignedPermutation._of(as_entries(p))
     try:
-        return apply_cds(entries, i, j), True
+        return apply_cds(perm, i, j), True
     except NotApplicableError:
-        return SignedPermutation(entries), False
+        return perm, False
 
 
 def applicable_cdr_moves(p) -> tuple[CdrMove, ...]:
@@ -358,7 +412,7 @@ class SortTrace:
     @classmethod
     def from_moves(cls, initial, moves) -> "SortTrace":
         """Build a trace by applying ("cdr", i) / ("cds", (i, j)) moves in order."""
-        current = SignedPermutation(as_entries(initial))
+        current = SignedPermutation._of(as_entries(initial))
         start = current
         steps = []
         for kind, move in moves:

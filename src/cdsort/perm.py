@@ -237,6 +237,14 @@ class SignedPermutation:
         object.__setattr__(self, "entries", validate_entries(self.entries))
 
     @classmethod
+    def _of(cls, entries: Entries) -> "SignedPermutation":
+        """Wrap an entries tuple known to be valid, such as a kernel's result
+        on valid entries, without validating it again."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "entries", entries)
+        return perm
+
+    @classmethod
     def parse(cls, text: str) -> "SignedPermutation":
         return cls(parse_entries(text))
 

@@ -107,6 +107,17 @@ def test_budget_is_one_unit_per_reachable_state(entries):
         cds_maximal_lengths(entries, budget=steps)
 
 
+@pytest.mark.parametrize("n, state", [(127, bytes), (128, tuple)])
+def test_cdr_states_are_bytes_up_to_127_entries(n, state):
+    # one oriented pointer, (1, 2): one run, of one move, to the identity
+    entries = (-1,) + identity_entries(n)[1:]
+    assert type(ops.cdr_states(entries)[0]) is state
+    enum = enumerate_cdr_fixed_points(entries)
+    assert enum.complete
+    assert enum.by_fixed_point == {SignedPermutation(identity_entries(n)): (1,)}
+    assert maximal_sequence_lengths(entries) == Counter({1: 1})
+
+
 def _cds_fold_lengths(entries) -> frozenset:
     """The maximal cds run lengths by the fold over the cds move graph."""
     return frozenset(analysis.mask_lengths(
@@ -139,27 +150,35 @@ def test_sorting_lengths_spend_one_unit_per_witness_position():
             cdr_sorting_lengths(entries, budget=k)
 
 
-def _expansions(monkeypatch) -> list:
-    """Count the states expanded: calls of the cdr move kernels."""
+@pytest.fixture
+def expanded(monkeypatch):
+    """The states expanded, as entries: each call of a cdr kernel that walk
+    and fold can run, in order, a bytes state decoded.  The test fails when
+    no call was counted at all, so a kernel missing here cannot pass
+    unseen."""
     calls = []
-    for name in ("_cdr_children", "_cdr_moves"):
+    by_kernel = Counter()
+    for name, decode in (("_cdr_children", None), ("_cdr_moves", None),
+                         ("_cdr_children_bytes", ops._decode)):
         kernel = getattr(ops, name)
 
-        def counted(entries, kernel=kernel):
-            calls.append(entries)
-            return kernel(entries)
+        def counted(state, kernel=kernel, name=name, decode=decode):
+            calls.append(state if decode is None else decode(state))
+            by_kernel[name] += 1
+            return kernel(state)
 
         monkeypatch.setattr(ops, name, counted)
-    return calls
+    yield calls
+    assert by_kernel, "no cdr kernel call was counted"
 
 
 @pytest.mark.parametrize("entries, budget", [
     *((fixtures()["u_pisces_1"].entries, budget) for budget in (50, 1_000, 4_099)),
     *((entries, len(reachable_states(entries, cdr_children)) - 1) for entries in BUDGET_CASES),
 ])
-def test_incomplete_enumeration_lists_exact_fixed_points(entries, budget, monkeypatch):
+def test_incomplete_enumeration_lists_exact_fixed_points(entries, budget, expanded):
     complete = enumerate_cdr_fixed_points(entries).by_fixed_point
-    expanded = _expansions(monkeypatch)
+    expanded.clear()
     enum = enumerate_cdr_fixed_points(entries, budget=budget)
     assert not enum.complete
     assert len(expanded) <= budget
@@ -191,8 +210,7 @@ def _fold_sorting_lengths(fold_enum, n) -> frozenset:
 
 
 @pytest.mark.slow
-def test_walk_queries_match_fold_exhaustively(monkeypatch):
-    expanded = _expansions(monkeypatch)
+def test_walk_queries_match_fold_exhaustively(expanded):
     for n in range(1, 7):
         for entries in all_signed_permutations(n):
             expanded.clear()

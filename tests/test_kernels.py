@@ -7,7 +7,10 @@ and homogeneity (ops keys are the 1-based occurrence keys minus 2, and a
 key's cut is (key + 1) >> 1), _cds_moves, _cds_children, _apply_cds and
 cds_applicable on which pairs apply and what they give, and _cdr_moves,
 _apply_cdr and _cdr_children on the same for cdr (_cdr_children lazily, as a
-generator).  Exhaustive for n <= 6, by hypothesis up to n = 60.
+generator).  Exhaustive for n <= 6, by hypothesis up to n = 60.  The kernel
+that ops.cdr_states hands out must give the same cdr children once decoded,
+also lazily: exhaustive for n <= 6, by hypothesis up to n = 127, the last
+length it stores as bytes.
 """
 import inspect
 import itertools
@@ -57,6 +60,17 @@ def check_kernels(entries):
     assert list(children) == list(cdr.values())
     for i in range(1, len(entries)):
         assert applied(ops._apply_cdr, entries, i) == cdr.get(i)
+    check_cdr_states(entries, list(cdr.values()))
+
+
+def check_cdr_states(entries, expected):
+    """The states of ops.cdr_states decode to ``entries`` and, one cdr move
+    on, to ``expected``, in order, from a generator."""
+    root, children, decode = ops.cdr_states(entries)
+    assert decode(root) == entries
+    states = children(root)
+    assert inspect.isgenerator(states)
+    assert [decode(state) for state in states] == expected
 
 
 @pytest.mark.slow
@@ -69,6 +83,11 @@ def test_kernels_match_occurrences_exhaustively():
 @given(signed_perms(1, 60))
 def test_kernels_match_occurrences(entries):
     check_kernels(entries)
+
+
+@given(signed_perms(61, 127))
+def test_cdr_states_match_occurrences(entries):
+    check_cdr_states(entries, [child for _, child in cdr_moves_by_occurrences(entries)])
 
 
 def greedy_run_by_occurrences(entries):

@@ -287,6 +287,33 @@ def test_empty_trace():
     assert str(trace) == "initial [1, 2]\nfinal [1, 2]"
 
 
+def test_raw_input_is_validated_once_and_results_never(monkeypatch):
+    from cdsort import analysis, perm
+
+    calls = []
+    validate = perm.validate_entries
+
+    def counted(values):
+        calls.append(values)
+        return validate(values)
+
+    monkeypatch.setattr(perm, "validate_entries", counted)
+    p = SignedPermutation((1, 3, 5, -2, -6, 4))
+    assert len(calls) == 1
+    steps = [("cdr", 5), ("cds", (1, 2)), ("cds", (3, 4))]
+    for call in (lambda q: apply_cdr(q, 5), lambda q: apply_cds(q, 4, 3),
+                 lambda q: try_apply_cdr(q, 3), lambda q: try_apply_cds(q, 1, 2),
+                 lambda q: SortTrace.from_moves(q, steps).replays(),
+                 analysis.enumerate_cdr_fixed_points, analysis.cds_reachable_fixed_points):
+        calls.clear()
+        call(p)
+        assert calls == []
+        call(list(p))
+        assert calls == [list(p)]
+    with pytest.raises(perm.PermutationError):
+        apply_cdr([1, 3, 5, -2, -6, 3], 5)
+
+
 # ---------------------------------------------------------------------------
 # the lenient forms against the strict forms they wrap
 
