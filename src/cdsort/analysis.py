@@ -9,14 +9,14 @@ walk, an iterative pre-order walk, backs the queries that only need which
 fixed points are reachable and at what depth: cdr fixed points and cds fixed
 points.  fold, a memoized recursion, backs maximal_sequence_lengths,
 criterion_discrepancies, the property sweeps, and the tests that check the
-fast decision against it.  enumerate_cdr_fixed_points walks the states of
+fast decision against it.  Every exhaustive cdr search runs on the states of
 ops.cdr_states: one byte per entry up to n = 127, whose hash is cached and
-whose slices are memcpy, and the entries tuple from n = 128 on.  It encodes
-the input once and decodes only the fixed points it returns.  The folds run
-on entries tuples.  The sweeps and criterion_discrepancies share one memo
-across their inputs, so a fold visits few states per input, and encoding
-each input would cost what bytes states save.  Every maximal cds run has
-one length, so cds_maximal_lengths reads the greedy run.  The overlap-graph
+whose slices are memcpy, and the entries tuple from n = 128 on.  Each one
+encodes its input once, at the boundary, and decodes only the fixed points
+it returns, so the sweeps and criterion_discrepancies, which share one fold
+memo across their inputs, still see fixed points as entries tuples; only
+the memo's keys are states.  Every maximal cds run has one length, so
+cds_maximal_lengths reads the greedy run.  The overlap-graph
 criterion ("no unoriented component") is exposed separately: it is silent
 about isolated unoriented vertices whose arc is not an adjacency -- [2, 1]
 has no component at all, no applicable move, and is not the identity -- so
@@ -97,8 +97,8 @@ class Tracker:
 # Sets of run lengths are int bitmasks: bit k set means a run of length k.
 
 
-def fold(entries: Entries, memo: dict, tracker: Tracker, children, leaf, combine):
-    """Memoized post-order fold over the states reachable from ``entries``.
+def fold(state, memo: dict, tracker: Tracker, children, leaf, combine):
+    """Memoized post-order fold over the states reachable from ``state``.
 
     A state not in ``memo`` spends one unit of ``tracker``, then resolves to
     combine(results of its children, in the order children(state) yields
@@ -111,25 +111,28 @@ def fold(entries: Entries, memo: dict, tracker: Tracker, children, leaf, combine
     Its users are the queries that need more than which states are reachable
     and at what depth: maximal_sequence_lengths (run counts),
     criterion_discrepancies, and the property sweeps, which share one memo
-    across their inputs.  The others use walk.
+    across their inputs.  The others use walk.  The cdr users fold over the
+    states of ops.cdr_states: they encode the input once, and a leaf that
+    returns fixed points decodes them, so a caller's results never hold
+    states.  cds_length_mask folds over entries tuples.
     """
-    res = memo.get(entries)
+    res = memo.get(state)
     if res is None:
-        res = _fold(entries, memo, tracker.spend, children, leaf, combine)
+        res = _fold(state, memo, tracker.spend, children, leaf, combine)
     return res
 
 
-def _fold(entries: Entries, memo: dict, spend, children, leaf, combine):
+def _fold(state, memo: dict, spend, children, leaf, combine):
     """fold at a state not in ``memo``: a plain loop, not a comprehension,
     which would be a frame of its own."""
     spend()
     results = []
-    for child in children(entries):
+    for child in children(state):
         res = memo.get(child)
         if res is None:
             res = _fold(child, memo, spend, children, leaf, combine)
         results.append(res)
-    res = memo[entries] = combine(results) if results else leaf(entries)
+    res = memo[state] = combine(results) if results else leaf(state)
     return res
 
 
@@ -190,14 +193,19 @@ def _extend_fixed_points(results: list) -> dict:
 def fixed_point_masks(entries: Entries, memo: dict, tracker: Tracker) -> dict:
     """fixed point -> length mask of all cdr runs from ``entries`` ending
     there.  Every maximal run ends at some fixed point, so this covers every
-    run without enumerating paths."""
-    return fold(entries, memo, tracker, ops._cdr_children, lambda fp: {fp: 1},
+    run without enumerating paths.  The fold runs on the states of
+    ops.cdr_states, so ``memo`` is keyed by them, and a fixed point is
+    decoded once, at its leaf: the result is keyed by entries tuples."""
+    root, children, decode = ops.cdr_states(entries)
+    return fold(root, memo, tracker, children, lambda fp: {decode(fp): 1},
                 _extend_fixed_points)
 
 
 def maximal_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
-    """Length mask of all maximal cdr runs from ``entries``."""
-    return fold(entries, memo, tracker, ops._cdr_children, lambda _: 1, _extend_lengths)
+    """Length mask of all maximal cdr runs from ``entries``, folded over the
+    states of ops.cdr_states."""
+    root, children, _ = ops.cdr_states(entries)
+    return fold(root, memo, tracker, children, lambda _: 1, _extend_lengths)
 
 
 def cds_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
@@ -356,9 +364,9 @@ def maximal_sequence_lengths(p, budget: int = DEFAULT_BUDGET) -> Counter:
     prefix of a different ordering of the pointers.  The fold still sums
     every path: nothing here reads a lemma about the lengths.
     """
-    entries = as_entries(p)
-    width = math.factorial(len(entries) - 1).bit_length()
-    packed = fold(entries, {}, Tracker(budget), ops._cdr_children, lambda _: 1,
+    root, children, _ = ops.cdr_states(as_entries(p))
+    width = math.factorial(len(root) - 1).bit_length()
+    packed = fold(root, {}, Tracker(budget), children, lambda _: 1,
                   lambda results: sum(results) << width)
     counts = Counter()
     field = (1 << width) - 1

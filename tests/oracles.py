@@ -10,6 +10,9 @@ ties to the same occurrence oracle.  Only usable at toy sizes.
 
 The fold section keeps the memoized fold's answers to the queries now served
 by analysis.walk, budget behaviour included, as the reference for the walk.
+It stays the fold as before: over entries tuples with ops._cdr_children, not
+over the states of ops.cdr_states, because its incomplete listing reads the
+memo's keys as entries.
 The last three sections keep earlier versions verbatim as the reference for
 their rewrites:
 
@@ -206,13 +209,14 @@ def cdr_run_lengths_to(entries, target):
 
 
 def fold_fixed_points(entries, budget=analysis.DEFAULT_BUDGET):
-    """enumerate_cdr_fixed_points by the fold.  When the budget runs out, it
-    lists the fixed points resolved in the fold's memo (a memo entry s is one
-    exactly when s is among its own fixed points), each at length
-    rank(M_p) - rank(M_s)."""
+    """enumerate_cdr_fixed_points by the fold over entries tuples.  When the
+    budget runs out, it lists the fixed points resolved in the fold's memo (a
+    memo entry s is one exactly when s is among its own fixed points), each
+    at length rank(M_p) - rank(M_s)."""
     memo = {}
     try:
-        fps = analysis.fixed_point_masks(entries, memo, analysis.Tracker(budget))
+        fps = analysis.fold(entries, memo, Tracker(budget), ops._cdr_children,
+                            lambda fp: {fp: 1}, analysis._extend_fixed_points)
     except analysis.BudgetExceededError:
         rank = gf2_rank(*overlap_masks(entries))
         return analysis.FixedPointEnumeration(

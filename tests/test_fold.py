@@ -116,6 +116,14 @@ def test_cdr_states_are_bytes_up_to_127_entries(n, state):
     assert enum.complete
     assert enum.by_fixed_point == {SignedPermutation(identity_entries(n)): (1,)}
     assert maximal_sequence_lengths(entries) == Counter({1: 1})
+    # the sweeps' entry points: the memo holds states, the result entries
+    for query, expected in ((analysis.fixed_point_masks, {identity_entries(n): 0b10}),
+                            (analysis.maximal_length_mask, 0b10)):
+        memo: dict = {}
+        tracker = Tracker(2)
+        assert query(entries, memo, tracker) == expected
+        assert tracker.remaining == 0
+        assert [type(key) for key in memo] == [state, state]
 
 
 def _cds_fold_lengths(entries) -> frozenset:
@@ -319,3 +327,72 @@ def test_fold_matches_comprehension_fold_at_budget(entries, budget):
             res = None
         outcomes.append((res, tracker.remaining, list(memo.items())))
     assert outcomes[0] == outcomes[1]
+
+
+# ---------------------------------------------------------------------------
+# the sweeps' entry points, which fold over the states of ops.cdr_states,
+# against analysis.fold over entries tuples on their FOLD_TARGETS entry
+
+
+SWEEP_QUERIES = {
+    "fixed points": analysis.fixed_point_masks,
+    "cdr lengths": analysis.maximal_length_mask,
+}
+
+
+def _decoded(memo: dict, entries) -> list:
+    """A memo's items in insertion order, its keys decoded as the states of
+    ops.cdr_states(entries)."""
+    decode = ops.cdr_states(entries)[2]
+    return [(decode(state), res) for state, res in memo.items()]
+
+
+def _check_result_keys(res) -> None:
+    if isinstance(res, dict):
+        assert all(type(fp) is tuple for fp in res), res
+
+
+@pytest.mark.parametrize("query", SWEEP_QUERIES)
+def test_sweep_queries_match_tuple_fold_on_shared_memos(query):
+    # input after input on one shared memo: the same result, the same budget
+    # left, and as many memo items; with the same items in the same order at
+    # the end, each input inserted the same states in the same order
+    entry_point = SWEEP_QUERIES[query]
+    children, leaf, combine = FOLD_TARGETS[query]
+    memo: dict = {}
+    old_memo: dict = {}
+    tracker = Tracker(analysis.DEFAULT_BUDGET)
+    old_tracker = Tracker(analysis.DEFAULT_BUDGET)
+    for n in range(1, 7):
+        for entries in all_signed_permutations(n):
+            res = entry_point(entries, memo, tracker)
+            old = analysis.fold(entries, old_memo, old_tracker, children, leaf, combine)
+            assert res == old, entries
+            _check_result_keys(res)
+            assert tracker.remaining == old_tracker.remaining, entries
+            assert len(memo) == len(old_memo), entries
+    assert _decoded(memo, (1,)) == list(old_memo.items())
+
+
+@given(st.sampled_from(sorted(SWEEP_QUERIES)), signed_perms(7, 12), st.integers(1, 3_000))
+def test_sweep_queries_match_tuple_fold(query, entries, budget):
+    # a cold memo, at a budget that may run out: the same outcome, the same
+    # budget left, and the same memo items in the same order
+    entry_point = SWEEP_QUERIES[query]
+    children, leaf, combine = FOLD_TARGETS[query]
+    outcomes = []
+    for run in (lambda memo, tracker: entry_point(entries, memo, tracker),
+                lambda memo, tracker: analysis.fold(entries, memo, tracker,
+                                                    children, leaf, combine)):
+        memo: dict = {}
+        tracker = Tracker(budget)
+        try:
+            res = run(memo, tracker)
+        except BudgetExceededError:
+            res = None
+        _check_result_keys(res)
+        outcomes.append((res, tracker.remaining, memo))
+    (res, remaining, memo), (old, old_remaining, old_memo) = outcomes
+    assert res == old
+    assert remaining == old_remaining
+    assert _decoded(memo, entries) == list(old_memo.items())
