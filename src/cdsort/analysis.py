@@ -338,10 +338,15 @@ def enumerate_cdr_fixed_points(p, budget: int = DEFAULT_BUDGET) -> FixedPointEnu
     length, the depth at which the walk met it.  When the budget runs out,
     the fixed points met so far are listed, each with that exact length.
     """
-    root, children, decode = ops.cdr_states(as_entries(p))
+    return _fixed_point_enumeration(as_entries(p), Tracker(budget))
+
+
+def _fixed_point_enumeration(entries: Entries, tracker: Tracker) -> FixedPointEnumeration:
+    """enumerate_cdr_fixed_points on a tracker the caller may have spent."""
+    root, children, decode = ops.cdr_states(entries)
     leaves: dict = {}
     try:
-        walk(root, Tracker(budget), children, leaves)
+        walk(root, tracker, children, leaves)
         complete = True
     except BudgetExceededError:
         complete = False
@@ -472,11 +477,14 @@ class RescueReport:
 
 def verify_rescue(p, budget: int = DEFAULT_BUDGET) -> RescueReport:
     """For a cdr-sortable permutation, check that greedy cds finishes every
-    reachable cdr fixed point."""
+    reachable cdr fixed point.  The witness and the walk spend one budget:
+    the report is complete when it covers the witness's positions and every
+    state the walk expands."""
     perm = SignedPermutation._of(as_entries(p))
-    if _sorting_witness(perm.entries, Tracker(budget)) is None:
+    tracker = Tracker(budget)
+    if _sorting_witness(perm.entries, tracker) is None:
         raise ValueError(f"{perm} is not cdr-sortable; the rescue property does not apply")
-    enum = enumerate_cdr_fixed_points(perm, budget)
+    enum = _fixed_point_enumeration(perm.entries, tracker)
     goal = identity_entries(len(perm))
     rescued = []
     for fp, lengths in sorted(enum.by_fixed_point.items(), key=lambda kv: (kv[1], kv[0].entries)):

@@ -164,10 +164,11 @@ def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, 
 def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     rows, ori = graphmod.overlap_masks(entries)
     moves = ops._cdr_moves(entries)
-    bad = 0
-    # _cdr_children yields the child of each pointer _cdr_moves lists, in
-    # order; pointer i sits at rank i - 1
-    for i, child in zip(moves, ops._cdr_children(entries)):
+    children = list(ops._cdr_children(entries))
+    # one child per listed pointer, in order, and pointer i at rank i - 1: a
+    # child too few or too many, and a pointer listed xor oriented, count once
+    bad = abs(len(children) - len(moves)) + (ori ^ sum(1 << (i - 1) for i in moves)).bit_count()
+    for i, child in zip(moves, children):
         if graphmod.overlap_masks(child) != graphmod.move(rows, ori, i - 1):
             bad += 1
     return bad == 0, f"pointers={len(moves)} violations={bad}"
@@ -225,7 +226,13 @@ def probe_total_sequence_lengths(num_graphs: int, max_vertices: int, seed: int,
     orientation flags on its diagonal by exactly one (graph.gf2_rank), and a
     total terminal's matrix is zero, so every total sequence has length equal
     to that rank.  The probe is therefore a cross-check of the move kernel
-    against that lemma, not an open question."""
+    against that lemma, not an open question.
+
+    Layer 0 holds the graph's position and layer d + 1 every position one
+    gcdr from layer d; a length is a depth whose layer holds the total
+    terminal.  Each layer is a set of its own, so a position reached at two
+    depths sits in two layers: the pass does not assume the lemma, and a
+    kernel reaching the total terminal at two depths gives a hit."""
     rng = random.Random(seed)
     tracker = Tracker(budget)
     hits = []
@@ -238,33 +245,24 @@ def probe_total_sequence_lengths(num_graphs: int, max_vertices: int, seed: int,
 
 
 def _total_lengths(rows: tuple, ori: int, tracker: Tracker) -> frozenset[int]:
-    """Lengths of all total sequences from a position: a memoized post-order
-    fold over the positions it reaches, with an explicit stack (a sequence is
-    as long as the graph has vertices)."""
-    memo: dict = {}
-    stack = []  # (position, iterator over the moves not yet tried, lengths so far)
-
-    def enter(rows: tuple, ori: int) -> frozenset[int] | None:
-        """The lengths from a position, or None after pushing its frame."""
-        key = (rows, ori)
-        res = memo.get(key)
-        if res is None:
-            tracker.spend()
-            if ori:
-                stack.append((key, graphmod.bits(ori), set()))
-                return None
-            res = memo[key] = frozenset() if any(rows) else frozenset({0})
-        return res
-
-    res = enter(rows, ori)
-    while stack:
-        key, moves, acc = stack[-1]
-        if res is not None:  # fold in the child just resolved
-            acc.update(length + 1 for length in res)
-        i = next(moves, None)
-        if i is None:
-            memo[key] = res = frozenset(acc)
-            stack.pop()
-            continue
-        res = enter(*graphmod.move(*key, i))
-    return res
+    """The probe's layered pass from a position.  A position spends one unit
+    of ``tracker`` as it first enters a layer, so the budget bounds the
+    positions held, not only the moves tried."""
+    total = ((0,) * len(rows), 0)
+    tracker.spend()
+    layer = {(rows, ori)}
+    lengths = []
+    depth = 0
+    while layer:
+        if total in layer:
+            lengths.append(depth)
+        below = set()
+        for rows, ori in layer:
+            for i in graphmod.bits(ori):
+                child = graphmod.move(rows, ori, i)
+                if child not in below:
+                    tracker.spend()
+                    below.add(child)
+        layer = below
+        depth += 1
+    return frozenset(lengths)

@@ -315,6 +315,14 @@ def test_rescue_identity():
     assert [fp.cds_steps for fp in report.fixed_points] == [0]
 
 
+def test_rescue_spends_one_budget():
+    # a 14-move witness (15 positions) and a walk of 8,198 states share it
+    assert not verify_rescue(U1, budget=15 + 8198 - 1).complete
+    assert verify_rescue(U1, budget=15 + 8198).complete
+    with pytest.raises(BudgetExceededError):
+        verify_rescue(U1, budget=14)
+
+
 def test_rescue_requires_sortable_input():
     with pytest.raises(ValueError, match="not cdr-sortable"):
         verify_rescue((2, 1))

@@ -1,11 +1,21 @@
+import random
+import tracemalloc
+
 import pytest
 
+from cdsort import graph as graphmod
+from cdsort import ops
+from cdsort.analysis import BudgetExceededError, Tracker
+from cdsort.graph import OrientedGraph, masks, random_oriented_graph
 from cdsort.verify import (
     PROPERTIES,
     CheckRecord,
+    _total_lengths,
     probe_total_sequence_lengths,
     run_sweep,
 )
+
+from oracles import gcdr_sets, graph_sets
 
 
 def test_known_properties():
@@ -69,18 +79,74 @@ def test_commutation_sweep_detail_counts_pointers():
     assert all(r.detail.startswith("pointers=") for r in result.records)
 
 
+def test_commutation_counts_a_missing_child(monkeypatch):
+    children = ops._cdr_children
+    monkeypatch.setattr(ops, "_cdr_children", lambda entries: list(children(entries))[:-1])
+    result = run_sweep("commutation", 3, exhaustive=True)
+    assert result.failures > 0
+    for record in result.records:
+        pointers = int(record.detail.split()[0].removeprefix("pointers="))
+        assert record.ok == (pointers == 0)
+        assert record.detail == f"pointers={pointers} violations={min(pointers, 1)}"
+
+
 def test_total_length_probe_finds_no_counterexamples():
     assert probe_total_sequence_lengths(60, 7, seed=9) == []
 
 
 def test_total_lengths_on_deep_graphs():
-    from cdsort.analysis import BudgetExceededError, Tracker
-    from cdsort.graph import OrientedGraph, masks
-    from cdsort.verify import _total_lengths
-
     n = 1500
     path = OrientedGraph(range(1, n + 1), [(v, v + 1) for v in range(1, n)], {1})
     assert _total_lengths(*masks(path), Tracker(10 ** 6)) == frozenset({n})
+    # spending as a position enters its layer stops the pass inside layer 2,
+    # about 0.6 MiB; spending as it leaves would build all C(1500, 2) first
     isolated = OrientedGraph(range(1, n + 1), (), range(1, n + 1))
-    with pytest.raises(BudgetExceededError):
-        _total_lengths(*masks(isolated), Tracker(2000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            _total_lengths(*masks(isolated), Tracker(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def _positions_sets(graph) -> int:
+    """Distinct positions reachable from a frozenset graph by gcdr."""
+    seen = {graph}
+    stack = [graph]
+    while stack:
+        g = stack.pop()
+        for v in g[2]:
+            child = gcdr_sets(g, v)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return len(seen)
+
+
+def test_total_lengths_spend_one_unit_per_position():
+    rng = random.Random(16)
+    for _ in range(20):
+        g = random_oriented_graph(rng, rng.randint(1, 8))
+        positions = _positions_sets(graph_sets(g))
+        tracker = Tracker(positions)
+        assert len(_total_lengths(*masks(g), tracker)) == 1
+        assert tracker.remaining == 0
+        with pytest.raises(BudgetExceededError):
+            _total_lengths(*masks(g), Tracker(positions - 1))
+
+
+def test_total_lengths_do_not_assume_the_rank_lemma(monkeypatch):
+    # an oriented edge 1 - 2 and an oriented isolated vertex 3: rank 3
+    rows, ori = masks(OrientedGraph({1, 2, 3}, {(1, 2)}, {1, 3}))
+    assert graphmod.gf2_rank(rows, ori) == 3
+    assert _total_lengths(rows, ori, Tracker(100)) == frozenset({3})
+    move = graphmod.move
+
+    def one_jump(r, o, i):
+        # gcdr at vertex 1 of the root lands on the total terminal at once
+        return ((0,) * len(r), 0) if (r, o, i) == (rows, ori, 0) else move(r, o, i)
+
+    monkeypatch.setattr(graphmod, "move", one_jump)
+    assert _total_lengths(rows, ori, Tracker(100)) == frozenset({1, 3})
