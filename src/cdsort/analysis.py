@@ -9,13 +9,15 @@ walk, an iterative pre-order walk, backs the queries that only need which
 fixed points are reachable and at what depth: cdr fixed points and cds fixed
 points.  fold, a memoized recursion, backs maximal_sequence_lengths,
 criterion_discrepancies, the property sweeps, and the tests that check the
-fast decision against it.  Every exhaustive cdr search runs on the states of
-ops.cdr_states: one byte per entry up to n = 127, whose hash is cached and
-whose slices are memcpy, and the entries tuple from n = 128 on.  Each one
-encodes its input once, at the boundary, and decodes only the fixed points
-it returns, so the sweeps and criterion_discrepancies, which share one fold
-memo across their inputs, still see fixed points as entries tuples; only
-the memo's keys are states.  Every maximal cds run has one length, so
+fast decision against it.  The queries that ask only about the identity
+(criterion_discrepancies and the same-length sweep) use the identity fold
+of sorting_length_mask, one int per state.  Every exhaustive cdr search
+runs on the states of ops.cdr_states: one byte per entry up to n = 127,
+whose hash is cached and whose slices are memcpy, and the entries tuple
+from n = 128 on.  Each one encodes its input once, at the boundary, and
+decodes only the fixed points it returns, so the sweeps, which share one
+fold memo across their inputs, still see fixed points as entries tuples;
+only the memo's keys are states.  Every maximal cds run has one length, so
 cds_maximal_lengths reads the greedy run.  The overlap-graph
 criterion ("no unoriented component") is exposed separately: it is silent
 about isolated unoriented vertices whose arc is not an adjacency -- [2, 1]
@@ -110,8 +112,10 @@ def fold(state, memo: dict, tracker: Tracker, children, leaf, combine):
 
     Its users are the queries that need more than which states are reachable
     and at what depth: maximal_sequence_lengths (run counts),
-    criterion_discrepancies, and the property sweeps, which share one memo
-    across their inputs.  The others use walk.  The cdr users fold over the
+    criterion_discrepancies and the same-length sweep (the identity fold of
+    sorting_length_mask), and the other property sweeps; the sweeps and
+    criterion_discrepancies share one memo across their inputs.  The others
+    use walk.  The cdr users fold over the
     states of ops.cdr_states: they encode the input once, and a leaf that
     returns fixed points decodes them, so a caller's results never hold
     states.  cds_length_mask folds over entries tuples.
@@ -208,6 +212,16 @@ def maximal_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
     return fold(root, memo, tracker, children, lambda _: 1, _extend_lengths)
 
 
+def sorting_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
+    """Length mask of the cdr runs from ``entries`` to the identity, 0 when
+    none reaches it: maximal_length_mask's fold with a leaf of 1 at the
+    identity and 0 at every other fixed point.  It visits the states of
+    fixed_point_masks in the same order and keeps one int per state."""
+    root, children, _ = ops.cdr_states(entries)
+    target = ops.cdr_states(identity_entries(len(entries)))[0]
+    return fold(root, memo, tracker, children, lambda fp: int(fp == target), _extend_lengths)
+
+
 def cds_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
     """Length mask of all maximal cds runs from ``entries``."""
     return fold(entries, memo, tracker, ops._cds_children, lambda _: 1, _extend_lengths)
@@ -300,14 +314,14 @@ def cdr_sortable_criterion(p) -> bool:
 def criterion_discrepancies(n: int, budget: int = DEFAULT_BUDGET):
     """All length-n permutations where the graph criterion and the search
     disagree, as (SignedPermutation, criterion, sortable) triples.  Each hit is
-    also logged.  Exhaustive: intended for small n."""
+    also logged.  Exhaustive: intended for small n.  The search is the
+    identity fold of sorting_length_mask, on one memo shared by the inputs."""
     out = []
     memo: dict = {}
     tracker = Tracker(budget)
-    target = identity_entries(n)
     for entries in all_signed_permutations(n):
         crit = cdr_sortable_criterion(entries)
-        sortable = target in fixed_point_masks(entries, memo, tracker)
+        sortable = sorting_length_mask(entries, memo, tracker) != 0
         if crit != sortable:
             logger.info("criterion/search disagreement at %s: criterion=%s search=%s",
                         entries, crit, sortable)
@@ -399,12 +413,7 @@ def parity(p) -> str:
     even rank over GF(2).  So every maximal sequence has length rank(M) minus
     an even number, and the parity is rank(M) mod 2.
     """
-    return "odd" if _rank(as_entries(p)) % 2 else "even"
-
-
-def _rank(entries: Entries) -> int:
-    """rank over GF(2) of the overlap graph's M = A + D; see parity."""
-    return graphmod.gf2_rank(*graphmod.overlap_masks(entries))
+    return "odd" if graphmod.gf2_rank(*graphmod.overlap_masks(as_entries(p))) % 2 else "even"
 
 
 # ---------------------------------------------------------------------------
@@ -625,16 +634,36 @@ def _prefixes(rows: tuple, ori: int, ranks: tuple) -> list | None:
 
 def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: Tracker):
     """Ranks of depth oriented vertices after which the suffix ranks replay to
-    a total terminal, first in increasing order; None when there are none."""
-    if depth == 0:
-        end = graphmod.play_ranks(rows, ori, suffix)
-        return () if end is not None and not end[1] and not any(end[0]) else None
-    for i in graphmod.bits(ori):
-        tracker.spend()
-        rest = _insertion_dfs(*graphmod.move(rows, ori, i), depth - 1, suffix, tracker)
-        if rest is not None:
-            return (i,) + rest
-    return None
+    a total terminal, first in increasing order; None when there are none.
+
+    Depth first in one loop over an explicit stack, as games._minimax: an
+    insertion may be as long as the graph has vertices.  A position above
+    the insertion's depth pushes a frame [rows, ori, mask of the moves not
+    yet tried]; one at that depth replays the suffix.  Each child entered
+    spends one unit of tracker, lowest rank first."""
+    spend = tracker.spend
+    chosen: list[int] = []  # the rank into each frame's child on the path
+    frames: list[list] = []
+    while True:  # (rows, ori) was just entered, len(chosen) moves deep
+        if len(chosen) == depth:
+            end = graphmod.play_ranks(rows, ori, suffix)
+            if end is not None and not end[1] and not any(end[0]):
+                return tuple(chosen)
+        else:
+            frames.append([rows, ori, ori])
+        while frames and not frames[-1][2]:
+            frames.pop()
+        if not frames:
+            return None
+        frame = frames[-1]
+        untried = frame[2]
+        low = untried & -untried
+        frame[2] = untried ^ low
+        i = low.bit_length() - 1
+        spend()
+        del chosen[len(frames) - 1:]
+        chosen.append(i)
+        rows, ori = graphmod.move(frame[0], frame[1], i)
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,6 @@ def play(state: GameState, v: int) -> GameState:
     return GameState(gcdr(state.graph, v), _other(state.to_move), state.rule)
 
 
-def _playout_length(graph: OrientedGraph) -> int:
-    return graphmod.playout_length(*graphmod.masks(graph))
-
-
 def winner_by_parity(state: GameState) -> str:
     """Winner under optimal play, decided by the parity of one playout.
 
@@ -79,7 +75,7 @@ def winner_by_parity(state: GameState) -> str:
     misere punishes it (and a zero-length game means the mover cannot move at
     all: a normal-play loss, a misere win).
     """
-    length = _playout_length(state.graph)
+    length = graphmod.playout_length(*graphmod.masks(state.graph))
     mover_wins = (length % 2 == 1) if state.rule == "normal" else (length % 2 == 0)
     return state.to_move if mover_wins else _other(state.to_move)
 

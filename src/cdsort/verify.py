@@ -76,24 +76,13 @@ class SweepResult:
 
 
 class _SweepContext:
-    """Shared memo tables for one sweep; reused across its inputs."""
+    """One sweep's budget, its one fold memo and its greedy-cds cache, shared
+    across its inputs: a sweep checks one property, which folds one way."""
 
     def __init__(self, budget: int):
         self.tracker = Tracker(budget)
-        self.fp_memo: dict = {}
-        self.maximal_memo: dict = {}
-        self.cds_memo: dict = {}
+        self.memo: dict = {}
         self.greedy_cache: dict = {}
-
-    def fixed_points(self, entries: Entries) -> dict:
-        """fixed point -> length mask of the cdr runs reaching it."""
-        return analysis.fixed_point_masks(entries, self.fp_memo, self.tracker)
-
-    def maximal_lengths(self, entries: Entries) -> tuple[int, ...]:
-        return mask_lengths(analysis.maximal_length_mask(entries, self.maximal_memo, self.tracker))
-
-    def cds_lengths(self, entries: Entries) -> tuple[int, ...]:
-        return mask_lengths(analysis.cds_length_mask(entries, self.cds_memo, self.tracker))
 
     def greedy_cds(self, entries: Entries):
         hit = self.greedy_cache.get(entries)
@@ -105,14 +94,14 @@ class _SweepContext:
 
 
 def _check_parity(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    lengths = ctx.maximal_lengths(entries)
+    lengths = mask_lengths(analysis.maximal_length_mask(entries, ctx.memo, ctx.tracker))
     ok = len({length % 2 for length in lengths}) == 1
     return ok, "lengths=" + ",".join(map(str, lengths))
 
 
 def _check_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    mask = ctx.fixed_points(entries).get(identity_entries(len(entries)))
-    if mask is None:
+    mask = analysis.sorting_length_mask(entries, ctx.memo, ctx.tracker)
+    if not mask:
         return True, "not-cdr-sortable"
     lengths = mask_lengths(mask)
     return len(lengths) == 1, "sorting-lengths=" + ",".join(map(str, lengths))
@@ -120,7 +109,7 @@ def _check_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]
 
 def _check_rescue(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     target = identity_entries(len(entries))
-    fps = ctx.fixed_points(entries)
+    fps = analysis.fixed_point_masks(entries, ctx.memo, ctx.tracker)
     if target not in fps:
         return True, "not-cdr-sortable"
     bad = 0
@@ -133,7 +122,7 @@ def _check_rescue(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
 
 def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     target = identity_entries(len(entries))
-    fps = ctx.fixed_points(entries)
+    fps = analysis.fixed_point_masks(entries, ctx.memo, ctx.tracker)
     if target not in fps:
         return True, "not-cdr-sortable"
     sort_lengths = mask_lengths(fps[target])
@@ -157,7 +146,7 @@ def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
 
 
 def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    lengths = ctx.cds_lengths(entries)
+    lengths = mask_lengths(analysis.cds_length_mask(entries, ctx.memo, ctx.tracker))
     return len(lengths) == 1, "lengths=" + ",".join(map(str, lengths))
 
 

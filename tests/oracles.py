@@ -20,7 +20,8 @@ their rewrites:
 - to_text_edge_list, graph_from_text_sets, to_dot_edge_list: the text and
   DOT forms;
 - is_oriented_sequence_by_gcdr: the oriented-sequence check;
-- extend_to_total_by_sizes: the total extension;
+- extend_to_total_by_sizes: the total extension, with the recursive
+  insertion search it ran on;
 - fold_by_comprehension: the fold;
 - maximal_sequence_lengths_by_dicts: the run counts as one dict per state
   (it folds over ops._cdr_children, so it checks only the count packing);
@@ -40,7 +41,6 @@ from cdsort import graph as graphmod
 from cdsort.analysis import (
     TheoremViolationError,
     Tracker,
-    _insertion_dfs,
     classify_sequence,
 )
 from cdsort.graph import (
@@ -492,6 +492,20 @@ def extend_to_total_by_sizes(p, maxseq, budget=analysis.DEFAULT_BUDGET):
     raise TheoremViolationError(
         f"no even insertion extends {maxseq} to a total sequence"
     )
+
+
+def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: Tracker):
+    """Ranks of depth oriented vertices after which the suffix ranks replay to
+    a total terminal, first in increasing order; None when there are none."""
+    if depth == 0:
+        end = graphmod.play_ranks(rows, ori, suffix)
+        return () if end is not None and not end[1] and not any(end[0]) else None
+    for i in graphmod.bits(ori):
+        tracker.spend()
+        rest = _insertion_dfs(*graphmod.move(rows, ori, i), depth - 1, suffix, tracker)
+        if rest is not None:
+            return (i,) + rest
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from cdsort import ops
 from cdsort.analysis import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     TheoremViolationError,
     Tracker,
@@ -19,6 +20,7 @@ from cdsort.analysis import (
     criterion_discrepancies,
     enumerate_cdr_fixed_points,
     extend_to_total,
+    fixed_point_masks,
     greedy_cds_trace,
     greedy_safe_total_sequence,
     indiscriminate_cdr_trace,
@@ -34,6 +36,7 @@ from cdsort.perm import (
     SignedPermutation,
     all_signed_permutations,
     fixtures,
+    identity_entries,
     random_signed_permutation,
     sigma,
     tau,
@@ -145,6 +148,31 @@ def test_criterion_discrepancies_are_one_sided():
     for n in range(1, 5):
         for _, crit, sortable in criterion_discrepancies(n):
             assert crit and not sortable
+
+
+def _discrepancies_by_fixed_points(n, budget):
+    """criterion_discrepancies as the fixed-point fold answers it, sortable
+    when the identity is among the fixed points, on one shared memo; with
+    the budget it spent."""
+    memo: dict = {}
+    tracker = Tracker(budget)
+    out = []
+    for entries in all_signed_permutations(n):
+        crit = cdr_sortable_criterion(entries)
+        sortable = identity_entries(n) in fixed_point_masks(entries, memo, tracker)
+        if crit != sortable:
+            out.append((SignedPermutation(entries), crit, sortable))
+    return out, budget - tracker.remaining
+
+
+def test_criterion_discrepancies_match_fixed_point_fold():
+    # the same hits, at exactly the budget the fixed-point fold spends
+    for n in range(1, 6):
+        expected, spent = _discrepancies_by_fixed_points(n, DEFAULT_BUDGET)
+        assert criterion_discrepancies(n) == expected
+        assert criterion_discrepancies(n, budget=spent) == expected
+        with pytest.raises(BudgetExceededError):
+            criterion_discrepancies(n, budget=spent - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +571,15 @@ def test_extend_to_total_matches_size_loop_sampled(n, monkeypatch):
             extended += isinstance(_check_extension(entries, seq, spent), tuple)
             maximal += 1
     assert extended > 200
+
+
+def test_extend_to_total_on_a_deep_insertion_needs_no_recursion():
+    # 500 copies of PI6, copy j shifted by 6j: rank 2,500 against a maximal
+    # sequence of 500, so the insertion is 2,000 vertices deep, past the
+    # recursion limit; the search runs out of budget instead
+    entries = tuple(v + 6 * j if v > 0 else v - 6 * j for j in range(500) for v in PI6)
+    with pytest.raises(BudgetExceededError):
+        extend_to_total(entries, range(5, 3000, 6), budget=10_000)
 
 
 def test_budget_errors_are_loud():

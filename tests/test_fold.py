@@ -33,7 +33,13 @@ from cdsort.analysis import (
     maximal_sequence_lengths,
 )
 from cdsort.graph import gf2_rank, overlap_masks
-from cdsort.perm import SignedPermutation, all_signed_permutations, fixtures, identity_entries
+from cdsort.perm import (
+    SignedPermutation,
+    all_signed_permutations,
+    fixtures,
+    identity_entries,
+    is_identity,
+)
 
 from oracles import (
     all_maximal_cdr_runs,
@@ -53,6 +59,7 @@ from oracles import (
 def test_every_fold_target_matches_brute_force_runs():
     fp_memo: dict = {}
     mask_memo: dict = {}
+    sorting_memo: dict = {}
     tracker = Tracker(analysis.DEFAULT_BUDGET)
     for n in range(1, 6):
         for entries in all_signed_permutations(n):
@@ -72,6 +79,9 @@ def test_every_fold_target_matches_brute_force_runs():
             assert analysis.mask_lengths(
                 analysis.maximal_length_mask(entries, mask_memo, tracker)
             ) == tuple(sorted({len(run) for run, _ in runs}))
+            assert analysis.mask_lengths(
+                analysis.sorting_length_mask(entries, sorting_memo, tracker)
+            ) == tuple(sorted(cdr_sorting_run_lengths(entries)))
 
             cds_runs = list(all_maximal_cds_runs(entries))
             assert cds_maximal_lengths(entries) == frozenset(len(run) for run, _ in cds_runs)
@@ -118,7 +128,8 @@ def test_cdr_states_are_bytes_up_to_127_entries(n, state):
     assert maximal_sequence_lengths(entries) == Counter({1: 1})
     # the sweeps' entry points: the memo holds states, the result entries
     for query, expected in ((analysis.fixed_point_masks, {identity_entries(n): 0b10}),
-                            (analysis.maximal_length_mask, 0b10)):
+                            (analysis.maximal_length_mask, 0b10),
+                            (analysis.sorting_length_mask, 0b10)):
         memo: dict = {}
         tracker = Tracker(2)
         assert query(entries, memo, tracker) == expected
@@ -204,11 +215,19 @@ def _listing(enum) -> tuple:
 def test_cdr_move_graph_is_graded():
     memo: dict = {}
     tracker = Tracker(analysis.DEFAULT_BUDGET)
+    # the identity fold reads the identity's entry of this table, at the
+    # same spend, on a memo of its own
+    sorting_memo: dict = {}
+    sorting_tracker = Tracker(analysis.DEFAULT_BUDGET)
     for n in range(1, 7):
         for entries in all_signed_permutations(n):
             rank = gf2_rank(*overlap_masks(entries))
-            for fp, mask in analysis.fixed_point_masks(entries, memo, tracker).items():
+            fps = analysis.fixed_point_masks(entries, memo, tracker)
+            for fp, mask in fps.items():
                 assert mask == 1 << rank - gf2_rank(*overlap_masks(fp)), (entries, fp)
+            sorting = analysis.sorting_length_mask(entries, sorting_memo, sorting_tracker)
+            assert sorting == fps.get(identity_entries(n), 0), entries
+            assert sorting_tracker.remaining == tracker.remaining, entries
 
 
 def _fold_sorting_lengths(fold_enum, n) -> frozenset:
@@ -283,6 +302,7 @@ def test_run_counts_match_dict_fold_on_fixtures(name):
 FOLD_TARGETS = {
     "fixed points": (ops._cdr_children, lambda fp: {fp: 1}, analysis._extend_fixed_points),
     "cdr lengths": (ops._cdr_children, lambda _: 1, analysis._extend_lengths),
+    "sorting lengths": (ops._cdr_children, lambda s: int(is_identity(s)), analysis._extend_lengths),
     "cds lengths": (ops._cds_children, lambda _: 1, analysis._extend_lengths),
 }
 
@@ -337,6 +357,7 @@ def test_fold_matches_comprehension_fold_at_budget(entries, budget):
 SWEEP_QUERIES = {
     "fixed points": analysis.fixed_point_masks,
     "cdr lengths": analysis.maximal_length_mask,
+    "sorting lengths": analysis.sorting_length_mask,
 }
 
 

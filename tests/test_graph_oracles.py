@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdsort import games
 from cdsort.analysis import classify_sequence, greedy_safe_total_sequence
 from cdsort.graph import (
     OrientedGraph,
@@ -19,6 +18,8 @@ from cdsort.graph import (
     has_unoriented_component,
     is_oriented_sequence,
     local_complement,
+    masks,
+    playout_length,
     to_dot,
     to_text,
 )
@@ -92,7 +93,7 @@ def test_masks_match_sets_on_larger_permutations(n, rnd):
     assert graph_sets(g) == sets
     assert graph_from_text(to_text(g)) == g
     assert report_sets(g) == component_report_sets(sets)
-    assert games._playout_length(g) == playout_length_sets(sets)
+    assert playout_length(*masks(g)) == playout_length_sets(sets)
     expected = greedy_safe_total_sequence_sets(entries)
     if expected is None:
         with pytest.raises(ValueError, match="unoriented component"):
