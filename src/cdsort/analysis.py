@@ -14,10 +14,11 @@ fast decision against it.  The queries that ask only about the identity
 of sorting_length_mask, one int per state.  Every exhaustive cdr search
 runs on the states of ops.cdr_states: one byte per entry up to n = 127,
 whose hash is cached and whose slices are memcpy, and the entries tuple
-from n = 128 on.  Each one encodes its input once, at the boundary, and
-decodes only the fixed points it returns, so the sweeps, which share one
-fold memo across their inputs, still see fixed points as entries tuples;
-only the memo's keys are states.  Every maximal cds run has one length, so
+from n = 128 on, whose children are the single cdr step at each applicable
+pointer.  Each one encodes its input once, at the boundary, and decodes
+only the fixed points it reads, so the sweeps, which share one fold memo
+across their inputs, still see fixed points as entries tuples; only the
+memo's keys are states.  Every maximal cds run has one length, so
 cds_maximal_lengths reads the greedy run.  The overlap-graph
 criterion ("no unoriented component") is exposed separately: it is silent
 about isolated unoriented vertices whose arc is not an adjacency -- [2, 1]
@@ -115,10 +116,10 @@ def fold(state, memo: dict, tracker: Tracker, children, leaf, combine):
     criterion_discrepancies and the same-length sweep (the identity fold of
     sorting_length_mask), and the other property sweeps; the sweeps and
     criterion_discrepancies share one memo across their inputs.  The others
-    use walk.  The cdr users fold over the
-    states of ops.cdr_states: they encode the input once, and a leaf that
-    returns fixed points decodes them, so a caller's results never hold
-    states.  cds_length_mask folds over entries tuples.
+    use walk.  The cdr users fold over the states of ops.cdr_states: they
+    encode the input once, and a leaf that reads a fixed point decodes it
+    first, so no leaf reads a state's layout and no result holds a state.
+    cds_length_mask folds over entries tuples.
     """
     res = memo.get(state)
     if res is None:
@@ -215,11 +216,12 @@ def maximal_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
 def sorting_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
     """Length mask of the cdr runs from ``entries`` to the identity, 0 when
     none reaches it: maximal_length_mask's fold with a leaf of 1 at the
-    identity and 0 at every other fixed point.  It visits the states of
-    fixed_point_masks in the same order and keeps one int per state."""
-    root, children, _ = ops.cdr_states(entries)
-    target = ops.cdr_states(identity_entries(len(entries)))[0]
-    return fold(root, memo, tracker, children, lambda fp: int(fp == target), _extend_lengths)
+    identity and 0 at every other fixed point, which it decodes to tell.  It
+    visits the states of fixed_point_masks in the same order and keeps one
+    int per state."""
+    root, children, decode = ops.cdr_states(entries)
+    return fold(root, memo, tracker, children, lambda fp: int(is_identity(decode(fp))),
+                _extend_lengths)
 
 
 def cds_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:

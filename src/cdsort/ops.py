@@ -16,15 +16,20 @@ no sign changes.
 Both operations raise NotApplicableError when their context is absent; the
 try_apply_* wrappers instead return the input unchanged plus a flag, for
 simulation loops where silent no-ops are wanted.  Applying a no-op silently by
-default would corrupt step counting, so it is never the default.
+default would corrupt step counting, so it is never the default.  Each
+applicability rule is stated once, in the strict step (_apply_cdr,
+_apply_cds): cdr_applicable and cds_applicable report whether it succeeds.
 
 Module-level helpers prefixed with an underscore work on raw entries tuples
 and skip validation; they are the kernels the search and sweep code runs on.
 greedy_cds_run is one too, public because analysis and verify run it, so
 that only this module reads the cds arc table.  cdr_states is another: it
-hands an exhaustive cdr search its states, bytes up to n = 127 with
-_cdr_children_bytes as their kernel, so that only this module reads that
-layout.  A public operation wraps a kernel's result with
+hands an exhaustive cdr search its states and their children kernel, so
+that only this module reads the state layout.  Up to n = 127 a state is
+bytes and _cdr_children_bytes, the one one-pass kernel for all of a state's
+cdr children, gives them; from n = 128 on a state is the entries tuple and
+_cdr_children gives them as the single step, _apply_cdr at each pointer
+_cdr_moves lists.  A public operation wraps a kernel's result with
 SignedPermutation._of, which does not validate it again.  Every trace, by
 contrast, takes the strict public step: _apply_move applies one ("cdr", i)
 or ("cds", (i, j)) move with full checks.
@@ -74,14 +79,16 @@ def _cdr_moves(entries: Sequence[int]) -> list[int]:
 
 
 def _apply_cdr(entries: Entries, i: int) -> Entries:
-    """Apply cdr at pointer i, cut as _cdr_children cuts; assumes i is in range."""
-    lo_idx = hi_idx = -1
-    for j, v in enumerate(entries):
-        a = abs(v)
-        if a == i:
-            lo_idx = j
-        elif a == i + 1:
-            hi_idx = j
+    """Apply cdr at pointer i; assumes i is in range.
+
+    Pointer i applies when the entries of values i and i+1 differ in sign,
+    which is (lo ^ hi) < 0 on the two entries.  Then the low entry is the
+    head of a positive entry exactly when the high one is the tail of a
+    negative entry, so both cuts sit after their entries when the low entry
+    is positive and before them otherwise: each cut is index + (lo > 0).
+    """
+    lo_idx = entries.index(i if i in entries else -i)
+    hi_idx = entries.index(i + 1 if i + 1 in entries else -i - 1)
     lo = entries[lo_idx]
     hi = entries[hi_idx]
     if (lo ^ hi) >= 0:
@@ -101,46 +108,8 @@ def _apply_cdr(entries: Entries, i: int) -> Entries:
 
 def _cdr_children(entries: Entries) -> Iterator[Entries]:
     """The result of cdr at each applicable pointer, in increasing pointer
-    order: the states _apply_cdr gives at the pointers _cdr_moves lists.
-
-    One pass records each value's index.  Pointer i applies when the entries
-    of values i and i+1 differ in sign, which is (lo ^ hi) < 0 on the two
-    entries.  Then the low entry is the head of a positive entry exactly when
-    the high one is the tail of a negative entry, so both cuts sit after
-    their entries when the low entry is positive and before them otherwise:
-    each cut is index + (lo > 0).  At the first applicable pointer one more
-    pass negates the reversed entries, so a fixed point builds nothing more;
-    each child is then three slices, because the block a cdr reverses and
-    negates is a slice of that negated reversal.  A generator on purpose:
-    analysis.fold and analysis.walk keep one of these open per level of a
-    run, and a long permutation has about n/2 children of n entries per
-    state, so building them eagerly would hold about n^2 / 2 entries per
-    level (for n = 2000 and a run of a thousand levels, some 2 * 10^9) where
-    a generator holds two arrays of n.
-    """
-    n = len(entries)
-    if n < 2:
-        return
-    at = [0] * (n + 1)
-    for j, v in enumerate(entries):
-        at[v if v > 0 else -v] = j
-    flipped = None
-    lo_at = at[1]
-    lo = entries[lo_at]
-    for i in range(2, n + 1):
-        hi_at = at[i]
-        hi = entries[hi_at]
-        if (lo ^ hi) < 0:
-            if flipped is None:
-                flipped = tuple([-v for v in entries[::-1]])
-            pos = lo > 0
-            g1 = lo_at + pos
-            g2 = hi_at + pos
-            if g1 > g2:
-                g1, g2 = g2, g1
-            yield entries[:g1] + flipped[n - g2:n - g1] + entries[g2:]
-        lo_at = hi_at
-        lo = hi
+    order, one at a time: the entries-tuple kernel of cdr_states."""
+    return (_apply_cdr(entries, i) for i in _cdr_moves(entries))
 
 
 # cdr_states gives states of n <= 127 entries as bytes, one byte per entry:
@@ -167,8 +136,23 @@ def _decode(state: bytes) -> Entries:
 
 
 def _cdr_children_bytes(state: bytes) -> Iterator[bytes]:
-    """_cdr_children on a bytes state: the same pass, with the sign test
-    (lo ^ hi) & 0x80 and the negated reversal one translate."""
+    """The result of cdr at each applicable pointer of a bytes state, in
+    increasing pointer order, from one pass.
+
+    The pass records each magnitude's index.  Pointer i applies when the
+    entries of values i and i+1 differ in sign, (lo ^ hi) & 0x80, and each
+    cut is index + (lo > 0), as in _apply_cdr.  At the first applicable
+    pointer one translate negates the reversed state, so a fixed point builds
+    nothing more; each child is then three slices, because the block a cdr
+    reverses and negates is a slice of that negated reversal.
+
+    A generator on purpose: fold and walk keep one children iterator open per
+    level of a run, and a permutation of n entries has about n/2 children of
+    n entries per state, so building them eagerly would hold about n^2 / 2
+    entries per level (for n = 2000 and a run of a thousand levels, some
+    2 * 10^9) where a generator holds a few arrays of n.  _cdr_children, the
+    kernel from n = 128 on, is a generator for the same reason.
+    """
     n = len(state)
     if n < 2:
         return
@@ -218,11 +202,6 @@ def _arcs(entries: Sequence[int]) -> list[tuple[int, int, bool]]:
     return arcs
 
 
-def _interleave(a1: int, a2: int, b1: int, b2: int) -> bool:
-    """Do key intervals [a1,a2] and [b1,b2] strictly cross (not nest/disjoint)?"""
-    return a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2
-
-
 def _cds_moves(entries: Sequence[int]) -> list[CdsMove]:
     return list(_cds_pairs(_arcs(entries)))
 
@@ -241,7 +220,7 @@ def _apply_cds(entries: Entries, p: int, q: int) -> Entries:
     arcs = _arcs(entries)
     k1, k2, homog_p = arcs[p - 1]
     l1, l2, homog_q = arcs[q - 1]
-    if not _interleave(k1, k2, l1, l2):
+    if not (k1 < l1 < k2 < l2 or l1 < k1 < l2 < k2):  # the arcs strictly cross
         raise NotApplicableError(
             f"cds at pointers ({p},{p + 1}),({q},{q + 1}): occurrences do not alternate"
         )
@@ -266,7 +245,7 @@ def _swap(entries: Entries, arc_p: tuple, arc_q: tuple) -> Entries:
 
 def _cds_children(entries: Entries) -> Iterator[Entries]:
     """The result of cds at each applicable pointer pair, in canonical order,
-    from one _arcs pass (a generator, as _cdr_children is)."""
+    from one _arcs pass (a generator, as the cdr kernels are)."""
     arcs = _arcs(entries)
     for p, q in _cds_pairs(arcs):
         yield _swap(entries, arcs[p - 1], arcs[q - 1])
@@ -297,9 +276,7 @@ def cdr_applicable(p, i: int) -> bool:
     >>> cdr_applicable((1, 2), 1)
     False
     """
-    entries = as_entries(p)
-    _check_pointer(len(entries), i)
-    return i in _cdr_moves(entries)
+    return try_apply_cdr(p, i)[1]
 
 
 def apply_cdr(p, i: int) -> SignedPermutation:
@@ -331,10 +308,7 @@ def cds_applicable(p, i: int, j: int) -> bool:
     >>> cds_applicable((1, 2, 3, 4), 1, 3)
     False
     """
-    arcs = _arcs(_cds_entries(p, i, j))
-    k1, k2, homog_i = arcs[i - 1]
-    l1, l2, homog_j = arcs[j - 1]
-    return homog_i and homog_j and _interleave(k1, k2, l1, l2)
+    return try_apply_cds(p, i, j)[1]
 
 
 def apply_cds(p, i: int, j: int) -> SignedPermutation:

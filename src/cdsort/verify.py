@@ -153,7 +153,9 @@ def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, 
 def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     rows, ori = graphmod.overlap_masks(entries)
     moves = ops._cdr_moves(entries)
-    children = list(ops._cdr_children(entries))
+    # the children of the kernel the exhaustive searches run at this n
+    root, kernel, decode = ops.cdr_states(entries)
+    children = [decode(child) for child in kernel(root)]
     # one child per listed pointer, in order, and pointer i at rank i - 1: a
     # child too few or too many, and a pointer listed xor oriented, count once
     bad = abs(len(children) - len(moves)) + (ori ^ sum(1 << (i - 1) for i in moves)).bit_count()

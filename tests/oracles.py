@@ -12,7 +12,9 @@ The fold section keeps the memoized fold's answers to the queries now served
 by analysis.walk, budget behaviour included, as the reference for the walk.
 It stays the fold as before: over entries tuples with ops._cdr_children, not
 over the states of ops.cdr_states, because its incomplete listing reads the
-memo's keys as entries.
+memo's keys as entries.  ops._cdr_children is the single step, _apply_cdr
+at each pointer _cdr_moves lists, so this reference shares no code with the
+bytes kernel the walk runs below n = 128.
 The last three sections keep earlier versions verbatim as the reference for
 their rewrites:
 
@@ -24,7 +26,8 @@ their rewrites:
   insertion search it ran on;
 - fold_by_comprehension: the fold;
 - maximal_sequence_lengths_by_dicts: the run counts as one dict per state
-  (it folds over ops._cdr_children, so it checks only the count packing);
+  (it folds over ops._cdr_children, the single step, so below n = 128 it
+  checks the bytes kernel as well as the count packing);
 - all_signed_permutations_by_masks: the exhaustive input generator;
 - format_entries_by_generator: the text form of a permutation.
 """

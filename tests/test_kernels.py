@@ -9,8 +9,8 @@ cds_applicable on which pairs apply and what they give, and _cdr_moves,
 _apply_cdr and _cdr_children on the same for cdr (_cdr_children lazily, as a
 generator).  Exhaustive for n <= 6, by hypothesis up to n = 60.  The kernel
 that ops.cdr_states hands out must give the same cdr children once decoded,
-also lazily: exhaustive for n <= 6, by hypothesis up to n = 127, the last
-length it stores as bytes.
+also lazily: exhaustive for n <= 6, by hypothesis up to n = 160, across
+n = 127, the last length it stores as bytes.
 """
 import inspect
 import itertools
@@ -85,7 +85,7 @@ def test_kernels_match_occurrences(entries):
     check_kernels(entries)
 
 
-@given(signed_perms(61, 127))
+@given(signed_perms(61, 160))
 def test_cdr_states_match_occurrences(entries):
     check_cdr_states(entries, [child for _, child in cdr_moves_by_occurrences(entries)])
 

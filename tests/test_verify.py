@@ -80,8 +80,9 @@ def test_commutation_sweep_detail_counts_pointers():
 
 
 def test_commutation_counts_a_missing_child(monkeypatch):
-    children = ops._cdr_children
-    monkeypatch.setattr(ops, "_cdr_children", lambda entries: list(children(entries))[:-1])
+    # the sweep checks the kernel the searches run at n = 3, the bytes one
+    children = ops._cdr_children_bytes
+    monkeypatch.setattr(ops, "_cdr_children_bytes", lambda state: list(children(state))[:-1])
     result = run_sweep("commutation", 3, exhaustive=True)
     assert result.failures > 0
     for record in result.records:
