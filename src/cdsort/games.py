@@ -62,7 +62,7 @@ def legal_moves(state: GameState) -> tuple[int, ...]:
 
 
 def play(state: GameState, v: int) -> GameState:
-    if v not in state.graph.oriented:
+    if not state.graph.is_oriented(v):
         raise IllegalMoveError(f"vertex {v} is not an oriented vertex of the current graph")
     return GameState(gcdr(state.graph, v), _other(state.to_move), state.rule)
 

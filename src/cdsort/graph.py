@@ -229,12 +229,11 @@ class OrientedGraph:
 
     Immutable and hashable (the game solver keys its memo on the masks, as
     (rows, ori, rule)).  ``vertices``, ``edges`` and ``oriented`` are
-    frozenset views of the masks, built on first use and cached; edges are
-    (u, v) pairs with u < v.
+    frozenset views of the masks, built on each read; edges are (u, v) pairs
+    with u < v.
     """
 
-    __slots__ = ("_labels", "_index", "_rows", "_ori", "_hash", "_vertices", "_edges",
-                 "_oriented")
+    __slots__ = ("_labels", "_index", "_rows", "_ori")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]],
                  oriented: Iterable[int]):
@@ -255,20 +254,13 @@ class OrientedGraph:
             if i is None:
                 raise ValueError("oriented flags on unknown vertices")
             ori |= 1 << i
-        self._set(labels, index, tuple(rows), ori)
-
-    def _set(self, labels: tuple, index: dict, rows: tuple, ori: int) -> None:
-        self._labels = labels
-        self._index = index
-        self._rows = rows
-        self._ori = ori
-        self._hash = self._vertices = self._edges = self._oriented = None
+        self._labels, self._index, self._rows, self._ori = labels, index, tuple(rows), ori
 
     @classmethod
     def _from_masks(cls, labels: tuple, index: dict, rows: tuple, ori: int) -> "OrientedGraph":
         """Internal construction from masks that are already consistent."""
         g = cls.__new__(cls)
-        g._set(labels, index, rows, ori)
+        g._labels, g._index, g._rows, g._ori = labels, index, rows, ori
         return g
 
     def _labels_of(self, mask: int) -> list[int]:
@@ -282,21 +274,15 @@ class OrientedGraph:
 
     @property
     def vertices(self) -> frozenset[int]:
-        if self._vertices is None:
-            self._vertices = frozenset(self._labels)
-        return self._vertices
+        return frozenset(self._labels)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = frozenset(self._edge_list())
-        return self._edges
+        return frozenset(self._edge_list())
 
     @property
     def oriented(self) -> frozenset[int]:
-        if self._oriented is None:
-            self._oriented = frozenset(self._labels_of(self._ori))
-        return self._oriented
+        return frozenset(self._labels_of(self._ori))
 
     def __eq__(self, other):
         if not isinstance(other, OrientedGraph):
@@ -305,9 +291,7 @@ class OrientedGraph:
                 and self._labels == other._labels)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._labels, self._rows, self._ori))
-        return self._hash
+        return hash((self._labels, self._rows, self._ori))
 
     def __repr__(self) -> str:
         return (f"OrientedGraph(vertices={self.vertices!r}, edges={self.edges!r}, "

@@ -55,18 +55,6 @@ def _check_pointer(n: int, i: int) -> None:
         raise ValueError(f"pointer {i} out of range 1..{n - 1}")
 
 
-def _cds_entries(p, i: int, j: int) -> Entries:
-    """The entries of p, after the checks of a cds at pointers i and j: i in
-    range, then j, then that they differ."""
-    entries = as_entries(p)
-    n = len(entries)
-    _check_pointer(n, i)
-    _check_pointer(n, j)
-    if i == j:
-        raise ValueError(f"cds needs two distinct pointers, got {i} twice")
-    return entries
-
-
 # ---------------------------------------------------------------------------
 # kernels on raw entries tuples
 
@@ -317,7 +305,12 @@ def apply_cds(p, i: int, j: int) -> SignedPermutation:
     >>> apply_cds((3, 6, 5, 2, 4, 8, 1, 7), 3, 6).entries
     (3, 4, 8, 1, 5, 2, 6, 7)
     """
-    return SignedPermutation._of(_apply_cds(_cds_entries(p, i, j), min(i, j), max(i, j)))
+    entries = as_entries(p)
+    _check_pointer(len(entries), i)
+    _check_pointer(len(entries), j)
+    if i == j:
+        raise ValueError(f"cds needs two distinct pointers, got {i} twice")
+    return SignedPermutation._of(_apply_cds(entries, min(i, j), max(i, j)))
 
 
 def try_apply_cds(p, i: int, j: int) -> tuple[SignedPermutation, bool]:

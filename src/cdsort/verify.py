@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import analysis, ops
 from . import graph as graphmod
@@ -177,12 +177,6 @@ _CHECKS: dict[str, Callable[[Entries, _SweepContext], tuple[bool, str]]] = {
 PROPERTIES = tuple(sorted(_CHECKS))
 
 
-def _sample_inputs(n: int, samples: int, seed: int) -> Iterator[Entries]:
-    rng = random.Random(seed)
-    for _ in range(samples):
-        yield random_signed_permutation(rng, n)
-
-
 def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
               seed: int = 0, budget: int = DEFAULT_BUDGET) -> SweepResult:
     """Run one property sweep.  Exactly one of exhaustive/samples selects the
@@ -199,7 +193,8 @@ def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
         inputs: Iterable[Entries] = all_signed_permutations(n)
         mode, used_seed = "exhaustive", None
     else:
-        inputs = _sample_inputs(n, samples, seed)
+        rng = random.Random(seed)
+        inputs = (random_signed_permutation(rng, n) for _ in range(samples))
         mode, used_seed = "samples", seed
     records = []
     for entries in inputs:

@@ -58,6 +58,11 @@ def test_play_rejects_illegal_moves():
     terminal = state_from_permutation((1, 2, 3))
     with pytest.raises(IllegalMoveError):
         play(terminal, 1)
+    state = state_from_permutation(PI6)  # legal moves (1, 2, 5)
+    for v in (3, 99):  # a vertex that is unoriented, then one not in the graph
+        with pytest.raises(IllegalMoveError,
+                           match=f"vertex {v} is not an oriented vertex of the current graph"):
+            play(state, v)
 
 
 def test_play_matches_graph_module_on_eight_pointer_example():
