@@ -15,6 +15,9 @@ answer off its length; it stays a playout rather than a rank, so that it and
 analysis.parity are two independent computations that can check each other.
 winner_by_minimax is the independent game-tree oracle used to validate that
 shortcut.
+
+Only those two solvers read positions, the graph module's (rows, ori) masks;
+a recorded game (playout) is play in a loop, on GameStates.
 """
 from __future__ import annotations
 
@@ -146,28 +149,25 @@ class PlyRecord:
 def playout(state: GameState, moves: Sequence[int] | None = None) -> tuple[PlyRecord, ...]:
     """Play a full game and record it, one line-ready record per ply.  With
     moves=None both players greedily take the lowest legal vertex; otherwise
-    the given vertices are played in order and must end the game."""
-    g = state.graph
-    rows, ori = graphmod.masks(g)
+    the given vertices are played in order and must end the game.  Each ply
+    is a play on the GameState, so a recorded game obeys the same move rule
+    as any other; only winner_by_parity and _minimax read positions."""
     records = []
-    player = state.to_move
     chosen = iter(moves) if moves is not None else None
-    while ori:
+    legal = legal_moves(state)
+    while legal:
         if chosen is None:
-            i = (ori & -ori).bit_length() - 1
-            v = graphmod.labels_at(g, (i,))[0]
+            v = legal[0]
         else:
             try:
                 v = next(chosen)
             except StopIteration:
                 raise IllegalMoveError("move list ended before the game did") from None
-            ranks = graphmod.ranks_of(g, (v,))
-            if ranks is None or not ori >> ranks[0] & 1:
-                raise IllegalMoveError(f"vertex {v} is not an oriented vertex of the current graph")
-            i = ranks[0]
-        rows, ori = graphmod.move(rows, ori, i)
-        records.append(PlyRecord(len(records) + 1, player, v, ori.bit_count()))
-        player = _other(player)
-    if chosen is not None and next(chosen, None) is not None:
-        raise IllegalMoveError("moves remain after the game ended")
+        player = state.to_move
+        state = play(state, v)
+        legal = legal_moves(state)
+        records.append(PlyRecord(len(records) + 1, player, v, len(legal)))
+    if chosen is not None:
+        for _ in chosen:  # any move left, None included, is one too many
+            raise IllegalMoveError("moves remain after the game ended")
     return tuple(records)

@@ -18,10 +18,11 @@ A graph is stored as bitmasks over the ranks of its labels in sorted order:
 one adjacency row per vertex and one orientation mask.  Local
 complementation is then XOR over GF(2): toggling the edges inside S is
 ``row[j] ^= S`` minus the own bit for each j in S, and flipping the flags is
-``ori ^= S``.  The analysis, game and sweep code runs its hot loops on such
+``ori ^= S``.  The analysis and sweep code runs its hot loops on such
 positions through the position helpers below (masks, move, play_ranks,
-safe_move, playout_length, gf2_rank), which skip validation; the layout is
-known only to this module.
+safe_move, playout_length, gf2_rank), which skip validation; the game code
+reads positions only in winner_by_parity and _minimax.  The layout is known
+only to this module.
 """
 from __future__ import annotations
 
@@ -263,14 +264,10 @@ class OrientedGraph:
         g._labels, g._index, g._rows, g._ori = labels, index, rows, ori
         return g
 
-    def _labels_of(self, mask: int) -> list[int]:
-        labels = self._labels
-        return [labels[i] for i in bits(mask)]
-
     def _edge_list(self) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v, in increasing order."""
         return [(u, v) for i, (u, row) in enumerate(zip(self._labels, self._rows))
-                for v in self._labels_of(row >> (i + 1) << (i + 1))]
+                for v in labels_at(self, bits(row >> (i + 1) << (i + 1)))]
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -282,7 +279,7 @@ class OrientedGraph:
 
     @property
     def oriented(self) -> frozenset[int]:
-        return frozenset(self._labels_of(self._ori))
+        return frozenset(labels_at(self, bits(self._ori)))
 
     def __eq__(self, other):
         if not isinstance(other, OrientedGraph):
@@ -303,13 +300,13 @@ class OrientedGraph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         i = self._index.get(v)
-        return frozenset() if i is None else frozenset(self._labels_of(self._rows[i]))
+        return frozenset() if i is None else frozenset(labels_at(self, bits(self._rows[i])))
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         return self.neighbors(v) | {v}
 
     def oriented_vertices(self) -> tuple[int, ...]:
-        return tuple(self._labels_of(self._ori))
+        return labels_at(self, bits(self._ori))
 
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, row in zip(self._labels, self._rows) if not row)
@@ -424,7 +421,7 @@ def component_report(g: OrientedGraph) -> ComponentReport:
             todo ^= low
             continue
         comp = _component(rows, low)
-        components.append(Component(frozenset(g._labels_of(comp)), bool(comp & ori)))
+        components.append(Component(frozenset(labels_at(g, bits(comp))), bool(comp & ori)))
         todo &= ~comp
     return ComponentReport(tuple(components), tuple(isolated))
 

@@ -26,7 +26,7 @@ from cdsort.graph import (
 )
 from cdsort.perm import all_signed_permutations, sigma
 
-from oracles import minimax_closure
+from oracles import LABELS, minimax_closure
 
 PI6 = (1, 3, 5, -2, -6, 4)
 
@@ -195,6 +195,33 @@ def test_playout_matches_play_on_sparse_labels():
             moves = None if greedy else [v for _, v, _ in expected]
             got = [(r.player, r.vertex, r.remaining) for r in playout(state, moves)]
             assert got == expected
+
+
+def test_playout_plays_through_play_on_labels_not_1_to_n():
+    # the path 2 - 7 - 40 - 10**9, oriented everywhere but at 7
+    a, b, c, d = LABELS[0], LABELS[2], LABELS[3], LABELS[4]
+    g = OrientedGraph((a, b, c, d), [(a, b), (b, c), (c, d)], (a, c, d))
+    state = GameState(g)
+    records = playout(state)
+    assert [r.player for r in records] == [ONE, TWO, ONE, TWO]
+    assert len(records) == graphmod.playout_length(*graphmod.masks(g))
+    replay = g
+    for record in records:
+        assert record.vertex == min(replay.oriented)
+        replay = gcdr(replay, record.vertex)
+        assert record.remaining == len(replay.oriented)
+    assert not replay.oriented
+
+    moves = [r.vertex for r in records]
+    assert playout(state, moves) == records
+    for v in (None, 5, b):  # not a label; absent; unoriented
+        with pytest.raises(IllegalMoveError,
+                           match=f"^vertex {v} is not an oriented vertex of the current graph$"):
+            playout(state, [v])
+    with pytest.raises(IllegalMoveError, match="^move list ended before the game did$"):
+        playout(state, moves[:-1])
+    with pytest.raises(IllegalMoveError, match="^moves remain after the game ended$"):
+        playout(state, moves + [None])
 
 
 # ---------------------------------------------------------------------------
