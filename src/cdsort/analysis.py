@@ -641,18 +641,18 @@ def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: Tr
     Depth first in one loop over an explicit stack, as games._minimax: an
     insertion may be as long as the graph has vertices.  A position above
     the insertion's depth pushes a frame [rows, ori, mask of the moves not
-    yet tried]; one at that depth replays the suffix.  Each child entered
-    spends one unit of tracker, lowest rank first."""
+    yet tried, rank of the child last entered]; one at that depth replays
+    the suffix, and the frames' last ranks are the insertion.  Each child
+    entered spends one unit of tracker, lowest rank first."""
     spend = tracker.spend
-    chosen: list[int] = []  # the rank into each frame's child on the path
     frames: list[list] = []
-    while True:  # (rows, ori) was just entered, len(chosen) moves deep
-        if len(chosen) == depth:
+    while True:  # (rows, ori) was just entered, len(frames) moves deep
+        if len(frames) == depth:
             end = graphmod.play_ranks(rows, ori, suffix)
             if end is not None and not end[1] and not any(end[0]):
-                return tuple(chosen)
+                return tuple(f[3] for f in frames)
         else:
-            frames.append([rows, ori, ori])
+            frames.append([rows, ori, ori, None])
         while frames and not frames[-1][2]:
             frames.pop()
         if not frames:
@@ -661,10 +661,8 @@ def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: Tr
         untried = frame[2]
         low = untried & -untried
         frame[2] = untried ^ low
-        i = low.bit_length() - 1
+        frame[3] = i = low.bit_length() - 1
         spend()
-        del chosen[len(frames) - 1:]
-        chosen.append(i)
         rows, ori = graphmod.move(frame[0], frame[1], i)
 
 

@@ -5,8 +5,8 @@ Permutations come from a positional literal like "[1, -3, 2]", from --file
 (first non-comment line of a one-permutation-per-line file), or from --fixture
 NAME.  All output is deterministic for fixed arguments and seed, so goldens
 diff cleanly.  Exit status: 0 on success, 1 with an "error: ..." diagnostic on
-stderr for bad input or an inapplicable operation (verify also exits 1 when a
-property sweep records failures).
+stderr for bad input, an inapplicable operation or running out of memory
+(verify also exits 1 when a property sweep records failures).
 """
 from __future__ import annotations
 
@@ -241,12 +241,19 @@ def main(argv=None) -> int:
     # ValueError covers PermutationError and games.IllegalMoveError too
     try:
         return args.func(args)
-    except (ValueError, OSError, NotApplicableError, RecursionError,
+    except (ValueError, OSError, NotApplicableError, RecursionError, MemoryError,
             analysis.BudgetExceededError, analysis.TheoremViolationError) as exc:
         # verify's sweeps run analysis.fold, which recurses once per move of
-        # a run; no other command recurses per move
-        message = ("cdr runs from this input are too long for the exhaustive search"
-                   if isinstance(exc, RecursionError) else exc)
+        # a run; no other command recurses per move.  MemoryError is a last
+        # resort, raised when an allocation fails, as under `ulimit -v`; a
+        # process the kernel kills for want of memory cannot catch anything.
+        # Its str() is empty.
+        if isinstance(exc, RecursionError):
+            message = "cdr runs from this input are too long for the exhaustive search"
+        elif isinstance(exc, MemoryError):
+            message = "out of memory"
+        else:
+            message = exc
         print(f"error: {message}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cdsort import games
+from cdsort import analysis, games
 from cdsort.cli import main
 from cdsort.graph import gf2_rank, graph_from_text, overlap_masks, to_text
 from cdsort.ops import SortTrace
@@ -24,21 +24,6 @@ def run_cli(capsys, *argv):
 
 # ---------------------------------------------------------------------------
 # graph
-
-
-@pytest.mark.parametrize(
-    "literal, golden",
-    [
-        ("[1, -5, -2, 4, -3, 6]", "graph_perm6"),
-        ("[-6, 3, -4, 2, 5, -1, 7, 9, 8, 10]", "graph_perm10"),
-    ],
-)
-@pytest.mark.parametrize("fmt", ["dot", "text"])
-def test_graph_matches_goldens(capsys, literal, golden, fmt):
-    code, out, err = run_cli(capsys, "graph", literal, "--format", fmt)
-    assert code == 0 and err == ""
-    suffix = "dot" if fmt == "dot" else "txt"
-    assert out == (GOLDEN / f"{golden}.{suffix}").read_text()
 
 
 def test_graph_of_singleton_is_empty(capsys):
@@ -393,6 +378,14 @@ def test_fixed_points_on_deep_input_answers(capsys):
     fp, _, steps = line.partition(" steps=")
     assert steps == "1000"
     assert gf2_rank(*overlap_masks(DEEP)) - gf2_rank(*overlap_masks(parse_entries(fp))) == 1000
+
+
+def test_out_of_memory_is_an_error_line(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(analysis, "enumerate_cdr_fixed_points", exhausted)
+    assert run_cli(capsys, "fixed-points", "[2, 1]") == (1, "", "error: out of memory\n")
 
 
 def test_fixtures_listing(capsys):
