@@ -26,6 +26,21 @@ def run_cli(capsys, *argv):
 # graph
 
 
+@pytest.mark.parametrize(
+    "literal, golden",
+    [
+        ("[1, -5, -2, 4, -3, 6]", "graph_perm6"),
+        ("[-6, 3, -4, 2, 5, -1, 7, 9, 8, 10]", "graph_perm10"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["dot", "text"])
+def test_graph_matches_goldens(capsys, literal, golden, fmt):
+    code, out, err = run_cli(capsys, "graph", literal, "--format", fmt)
+    assert code == 0 and err == ""
+    suffix = "dot" if fmt == "dot" else "txt"
+    assert out == (GOLDEN / f"{golden}.{suffix}").read_text()
+
+
 def test_graph_of_singleton_is_empty(capsys):
     code, out, _ = run_cli(capsys, "graph", "[1]", "--format", "text")
     assert code == 0 and out == ""
