@@ -27,12 +27,13 @@ that only this module reads the cds arc table.  cdr_states is another: it
 hands an exhaustive cdr search its states and their children kernel, so
 that only this module reads the state layout.  Up to n = 127 a state is
 bytes and _cdr_children_bytes, the one one-pass kernel for all of a state's
-cdr children, gives them; from n = 128 on a state is the entries tuple and
-_cdr_children gives them as the single step, _apply_cdr at each pointer
-_cdr_moves lists.  A public operation wraps a kernel's result with
-SignedPermutation._of, which does not validate it again.  Every trace, by
-contrast, takes the strict public step: _apply_move applies one ("cdr", i)
-or ("cds", (i, j)) move with full checks.
+cdr children, gives them, reading each magnitude's index from one translate
+table; from n = 128 on a state is the entries tuple and _cdr_children gives
+them as the single step, _apply_cdr at each pointer _cdr_moves lists.  A
+public operation wraps a kernel's result with SignedPermutation._of, which
+does not validate it again.  Every trace, by contrast, takes the strict
+public step: _apply_move applies one ("cdr", i) or ("cds", (i, j)) move with
+full checks.
 """
 from __future__ import annotations
 
@@ -106,6 +107,8 @@ def _cdr_children(entries: Entries) -> Iterator[Entries]:
 # set or memo lookup and takes a reference per entry per slice.  Only this
 # module reads the layout.
 _NEG = bytes(b ^ 0x80 for b in range(256))              # negates each entry
+_ABS = bytes(b & 0x7F for b in range(256))              # each entry's magnitude
+_POS = bytes(range(0x80))                               # the indices 0..127
 _VALUE = tuple(b if b < 0x80 else 0x80 - b for b in range(256))
 
 
@@ -127,12 +130,14 @@ def _cdr_children_bytes(state: bytes) -> Iterator[bytes]:
     """The result of cdr at each applicable pointer of a bytes state, in
     increasing pointer order, from one pass.
 
-    The pass records each magnitude's index.  Pointer i applies when the
-    entries of values i and i+1 differ in sign, (lo ^ hi) & 0x80, and each
-    cut is index + (lo > 0), as in _apply_cdr.  At the first applicable
-    pointer one translate negates the reversed state, so a fixed point builds
-    nothing more; each child is then three slices, because the block a cdr
-    reverses and negates is a slice of that negated reversal.
+    The index of each magnitude i is at[i], one translate table built in C
+    by bytes.maketrans from the state's magnitudes to its indices.  Pointer
+    i applies when the entries of values i and i+1 differ in sign,
+    (lo ^ hi) & 0x80, and each cut is index + (lo > 0), as in _apply_cdr.
+    At the first applicable pointer one translate negates the reversed
+    state, so a fixed point builds nothing more; each child is then three
+    slices, because the block a cdr reverses and negates is a slice of that
+    negated reversal.
 
     A generator on purpose: fold and walk keep one children iterator open per
     level of a run, and a permutation of n entries has about n/2 children of
@@ -144,13 +149,11 @@ def _cdr_children_bytes(state: bytes) -> Iterator[bytes]:
     n = len(state)
     if n < 2:
         return
-    at = [0] * (n + 1)
-    for j, b in enumerate(state):
-        at[b & 0x7F] = j
+    at = bytes.maketrans(state.translate(_ABS), _POS[:n])
     flipped = None
     lo_at = at[1]
     lo = state[lo_at]
-    for hi_at in at[2:]:
+    for hi_at in at[2:n + 1]:
         hi = state[hi_at]
         if (lo ^ hi) & 0x80:
             if flipped is None:

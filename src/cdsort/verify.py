@@ -76,13 +76,16 @@ class SweepResult:
 
 
 class _SweepContext:
-    """One sweep's budget, its one fold memo and its greedy-cds cache, shared
-    across its inputs: a sweep checks one property, which folds one way."""
+    """One sweep's budget, its one memo and its greedy-cds cache, shared
+    across its inputs: a sweep checks one property, which folds one way.
+    The commutation sweep folds nothing; exhaustive, it keeps each state's
+    overlap-graph position in the memo instead."""
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, exhaustive: bool):
         self.tracker = Tracker(budget)
         self.memo: dict = {}
         self.greedy_cache: dict = {}
+        self.exhaustive = exhaustive
 
     def greedy_cds(self, entries: Entries):
         hit = self.greedy_cache.get(entries)
@@ -90,6 +93,19 @@ class _SweepContext:
             end, steps, _ = ops.greedy_cds_run(entries)
             hit = (end, steps)
             self.greedy_cache[entries] = hit
+        return hit
+
+    def overlap_masks(self, state, decode):
+        """The overlap-graph position of a state of ops.cdr_states.  In an
+        exhaustive sweep every child is also an input, so the memo, keyed by
+        state, builds each position once.  Sampled inputs share almost no
+        states, so there a memo would only grow: at n = 130 it held about
+        9 KB per state."""
+        if not self.exhaustive:
+            return graphmod.overlap_masks(decode(state))
+        hit = self.memo.get(state)
+        if hit is None:
+            hit = self.memo[state] = graphmod.overlap_masks(decode(state))
         return hit
 
 
@@ -151,16 +167,16 @@ def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, 
 
 
 def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    rows, ori = graphmod.overlap_masks(entries)
     moves = ops._cdr_moves(entries)
     # the children of the kernel the exhaustive searches run at this n
     root, kernel, decode = ops.cdr_states(entries)
-    children = [decode(child) for child in kernel(root)]
+    rows, ori = ctx.overlap_masks(root, decode)
+    children = list(kernel(root))
     # one child per listed pointer, in order, and pointer i at rank i - 1: a
     # child too few or too many, and a pointer listed xor oriented, count once
     bad = abs(len(children) - len(moves)) + (ori ^ sum(1 << (i - 1) for i in moves)).bit_count()
     for i, child in zip(moves, children):
-        if graphmod.overlap_masks(child) != graphmod.move(rows, ori, i - 1):
+        if ctx.overlap_masks(child, decode) != graphmod.move(rows, ori, i - 1):
             bad += 1
     return bad == 0, f"pointers={len(moves)} violations={bad}"
 
@@ -188,7 +204,7 @@ def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
     if exhaustive == bool(samples):
         raise ValueError("choose exactly one of exhaustive or samples")
     check = _CHECKS[prop]
-    ctx = _SweepContext(budget)
+    ctx = _SweepContext(budget, exhaustive)
     if exhaustive:
         inputs: Iterable[Entries] = all_signed_permutations(n)
         mode, used_seed = "exhaustive", None

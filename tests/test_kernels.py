@@ -10,7 +10,8 @@ _apply_cdr and _cdr_children on the same for cdr (_cdr_children lazily, as a
 generator).  Exhaustive for n <= 6, by hypothesis up to n = 60.  The kernel
 that ops.cdr_states hands out must give the same cdr children once decoded,
 also lazily: exhaustive for n <= 6, by hypothesis up to n = 160, across
-n = 127, the last length it stores as bytes.
+n = 127, the last length it stores as bytes, and against _cdr_children at
+n = 1, 2 and 127, with +-127 at either end.
 """
 import inspect
 import itertools
@@ -88,6 +89,20 @@ def test_kernels_match_occurrences(entries):
 @given(signed_perms(61, 160))
 def test_cdr_states_match_occurrences(entries):
     check_cdr_states(entries, [child for _, child in cdr_moves_by_occurrences(entries)])
+
+
+def test_cdr_states_at_the_edges():
+    # the shortest states, and n = 127, the last length stored as bytes, with
+    # +-127 at the first and the last index, so that the translate table
+    # maps the largest magnitude to either end
+    cases = list(all_signed_permutations(1)) + list(all_signed_permutations(2))
+    for rest in (tuple(v if v % 2 else -v for v in range(1, 127)),
+                 tuple(-v if v % 3 else v for v in range(126, 0, -1))):
+        for top in (127, -127):
+            cases += [(top,) + rest, rest + (top,)]
+    for entries in cases:
+        assert isinstance(ops.cdr_states(entries)[0], bytes)
+        check_cdr_states(entries, list(ops._cdr_children(entries)))
 
 
 def greedy_run_by_occurrences(entries):

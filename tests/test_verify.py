@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 import tracemalloc
 
 import pytest
@@ -89,6 +91,18 @@ def test_commutation_counts_a_missing_child(monkeypatch):
         pointers = int(record.detail.split()[0].removeprefix("pointers="))
         assert record.ok == (pointers == 0)
         assert record.detail == f"pointers={pointers} violations={min(pointers, 1)}"
+
+
+def test_commutation_memo_hides_no_kernel_fault(monkeypatch):
+    # the bytes kernel with its cut flank inverted: the memo of positions
+    # the exhaustive sweep shares across inputs must not mask what it gives
+    source = textwrap.dedent(inspect.getsource(ops._cdr_children_bytes))
+    assert source.count("pos = lo < 0x80") == 1
+    namespace = dict(vars(ops))
+    exec(source.replace("pos = lo < 0x80", "pos = lo >= 0x80"), namespace)
+    monkeypatch.setattr(ops, "_cdr_children_bytes", namespace["_cdr_children_bytes"])
+    result = run_sweep("commutation", 5, exhaustive=True)
+    assert (result.failures, result.cases) == (3600, 3840)
 
 
 def test_total_length_probe_finds_no_counterexamples():
