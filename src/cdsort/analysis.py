@@ -26,15 +26,16 @@ has no component at all, no applicable move, and is not the identity -- so
 criterion and search can disagree.  Disagreements are reported, never
 hidden.
 
-Every search spends one Tracker, one unit per state it visits: for the
-sortability decision and the sorting lengths, the positions of the witness
-run (for the cds run lengths, of the greedy run); for the exhaustive
-searches, the distinct states expanded; for the games, the positions
-solved.  Running out raises BudgetExceededError.  Two public wrappers turn
-it into a value, because a partial answer is meaningful there:
-cdr_sortable_search (and its reverse) returns (None, None) for "undecided",
-and enumerate_cdr_fixed_points lists the fixed points it reached before the
-budget ran out, flagged incomplete.
+Every Tracker comes from a caller's budget, and every search spends it one
+unit per state or position: for the sortability decision and the sorting
+lengths, the positions of the witness run (for the cds run lengths, of the
+greedy run); for the exhaustive searches and the sweeps' folds, the
+distinct states expanded; for the commutation sweep, the overlap-graph
+positions built; for the games, the positions solved.  Running out raises
+BudgetExceededError.  Two public wrappers turn it into a value, because a
+partial answer is meaningful there: cdr_sortable_search (and its reverse)
+returns (None, None) for "undecided", and enumerate_cdr_fixed_points lists
+the fixed points it reached before the budget ran out, flagged incomplete.
 
 TheoremViolationError marks outcomes the structure theory rules out (a cdr
 fixed point of a sortable permutation that greedy cds cannot finish, a missing
@@ -274,7 +275,7 @@ def _sorting_witness(entries: Entries, tracker: Tracker) -> tuple[int, ...] | No
     g = build_overlap_graph(entries)
     if has_unoriented_component(g):
         return None
-    witness = graphmod.labels_at(g, _safe_ranks(g, tracker))
+    witness = graphmod.labels_at(g, _safe_ranks(g, tracker.spend))
     end = entries
     for i in witness:
         end = ops._apply_cdr(end, i)
@@ -565,14 +566,12 @@ def greedy_safe_total_sequence(p) -> tuple[int, ...]:
     g = build_overlap_graph(p)
     if has_unoriented_component(g):
         raise ValueError("overlap graph has an unoriented component; no total sequence exists")
-    # a move leaves its vertex isolated and unoriented for good, so play
-    # makes at most one move per vertex
-    return graphmod.labels_at(g, _safe_ranks(g, Tracker(len(graphmod.masks(g)[0]))))
+    return graphmod.labels_at(g, _safe_ranks(g, lambda: None))
 
 
-def _safe_ranks(g: graphmod.OrientedGraph, tracker: Tracker) -> list[int]:
+def _safe_ranks(g: graphmod.OrientedGraph, spend) -> list[int]:
     """Ranks of the greedy-safe moves from g, which has no unoriented
-    component, to a total terminal; spends once per move."""
+    component, to a total terminal; calls spend() once per move."""
     rows, ori = graphmod.masks(g)
     ranks = []
     while ori:
@@ -581,7 +580,7 @@ def _safe_ranks(g: graphmod.OrientedGraph, tracker: Tracker) -> list[int]:
             raise TheoremViolationError("no safe oriented vertex found")
         i, rows, ori = step
         ranks.append(i)
-        tracker.spend()
+        spend()
     if any(rows):  # pragma: no cover - safety net
         raise TheoremViolationError("safe play ended in a non-total terminal")
     return ranks

@@ -21,8 +21,10 @@ complementation is then XOR over GF(2): toggling the edges inside S is
 ``ori ^= S``.  The analysis and sweep code runs its hot loops on such
 positions through the position helpers below (masks, move, play_ranks,
 safe_move, playout_length, gf2_rank), which skip validation; the game code
-reads positions only in winner_by_parity and _minimax.  The layout is known
-only to this module.
+reads positions only in winner_by_parity and _minimax.  Only this module
+builds and moves positions; ori is read as the mask of the oriented ranks,
+and any(rows) as "an edge is left", also by analysis (_end_kind, _prefixes,
+_safe_ranks, _insertion_dfs), games._minimax and verify.
 """
 from __future__ import annotations
 

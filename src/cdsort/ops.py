@@ -16,9 +16,10 @@ no sign changes.
 Both operations raise NotApplicableError when their context is absent; the
 try_apply_* wrappers instead return the input unchanged plus a flag, for
 simulation loops where silent no-ops are wanted.  Applying a no-op silently by
-default would corrupt step counting, so it is never the default.  Each
-applicability rule is stated once, in the strict step (_apply_cdr,
-_apply_cds): cdr_applicable and cds_applicable report whether it succeeds.
+default would corrupt step counting, so it is never the default.  The
+strict step (_apply_cdr, _apply_cds) states each applicability rule;
+cdr_applicable and cds_applicable ask it, while the kernels _cdr_moves,
+_cdr_children_bytes and _cds_pairs restate the rules for speed.
 
 Module-level helpers prefixed with an underscore work on raw entries tuples
 and skip validation; they are the kernels the search and sweep code runs on.
@@ -193,10 +194,6 @@ def _arcs(entries: Sequence[int]) -> list[tuple[int, int, bool]]:
     return arcs
 
 
-def _cds_moves(entries: Sequence[int]) -> list[CdsMove]:
-    return list(_cds_pairs(_arcs(entries)))
-
-
 def _cds_pairs(arcs: list) -> Iterator[CdsMove]:
     """The applicable cds pointer pairs, in canonical order, from _arcs."""
     homogeneous = [(i, k1, k2) for i, (k1, k2, homog) in enumerate(arcs, 1) if homog]
@@ -333,7 +330,7 @@ def applicable_cdr_moves(p) -> tuple[CdrMove, ...]:
 def applicable_cds_moves(p) -> tuple[CdsMove, ...]:
     """All unordered pointer pairs at which cds applies, lower pointer first,
     sorted lexicographically."""
-    return tuple(_cds_moves(as_entries(p)))
+    return tuple(_cds_pairs(_arcs(as_entries(p))))
 
 
 def is_cdr_fixed_point(p) -> bool:
@@ -341,7 +338,7 @@ def is_cdr_fixed_point(p) -> bool:
 
 
 def is_cds_fixed_point(p) -> bool:
-    return not _cds_moves(as_entries(p))
+    return next(_cds_pairs(_arcs(as_entries(p))), None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ Properties:
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -78,22 +79,14 @@ class SweepResult:
 class _SweepContext:
     """One sweep's budget, its one memo and its greedy-cds cache, shared
     across its inputs: a sweep checks one property, which folds one way.
-    The commutation sweep folds nothing; exhaustive, it keeps each state's
-    overlap-graph position in the memo instead."""
+    The commutation sweep folds nothing: it spends one unit per overlap-graph
+    position it builds and, exhaustive, keeps each state's in the memo."""
 
     def __init__(self, budget: int, exhaustive: bool):
         self.tracker = Tracker(budget)
         self.memo: dict = {}
-        self.greedy_cache: dict = {}
+        self.greedy_cds = functools.cache(ops.greedy_cds_run)
         self.exhaustive = exhaustive
-
-    def greedy_cds(self, entries: Entries):
-        hit = self.greedy_cache.get(entries)
-        if hit is None:
-            end, steps, _ = ops.greedy_cds_run(entries)
-            hit = (end, steps)
-            self.greedy_cache[entries] = hit
-        return hit
 
     def overlap_masks(self, state, decode):
         """The overlap-graph position of a state of ops.cdr_states.  In an
@@ -102,9 +95,11 @@ class _SweepContext:
         states, so there a memo would only grow: at n = 130 it held about
         9 KB per state."""
         if not self.exhaustive:
+            self.tracker.spend()
             return graphmod.overlap_masks(decode(state))
         hit = self.memo.get(state)
         if hit is None:
+            self.tracker.spend()
             hit = self.memo[state] = graphmod.overlap_masks(decode(state))
         return hit
 
@@ -130,7 +125,7 @@ def _check_rescue(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
         return True, "not-cdr-sortable"
     bad = 0
     for fp in fps:
-        end, _ = ctx.greedy_cds(fp)
+        end, _, _ = ctx.greedy_cds(fp)
         if end != target or any(v < 0 for v in fp):
             bad += 1
     return bad == 0, f"fixed-points={len(fps)} unrescued={bad}"
@@ -149,7 +144,7 @@ def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     bad = 0
     for fp, mask in fps.items():
         ks = mask_lengths(mask)
-        end, m = ctx.greedy_cds(fp)
+        end, m, _ = ctx.greedy_cds(fp)
         if end != target:
             bad += len(ks)
             pairs += len(ks)

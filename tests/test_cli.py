@@ -210,6 +210,13 @@ def test_verify_on_deep_input_is_an_error_line(capsys):
     assert err == "error: cdr runs from this input are too long for the exhaustive search\n"
 
 
+def test_verify_commutation_spends_its_budget(capsys):
+    code, out, err = run_cli(capsys, "verify", "--property", "commutation", "--n", "5",
+                             "--exhaustive", "--budget", "3")
+    assert code == 1 and out == ""
+    assert err == "error: search budget exhausted\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_verify_rejects_lengths_below_one(capsys, n):
     code, out, err = run_cli(capsys, "verify", "--property", "rescue", "--n", n, "--exhaustive")

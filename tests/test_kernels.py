@@ -4,14 +4,15 @@ tests/oracles.py builds each move pointer by pointer from the public
 occurrence list, with no ops kernel: a pointer's two occurrences, their keys,
 cuts and entry signs.  Every kernel must agree with it: _arcs on the keys
 and homogeneity (ops keys are the 1-based occurrence keys minus 2, and a
-key's cut is (key + 1) >> 1), _cds_moves, _cds_children, _apply_cds and
-cds_applicable on which pairs apply and what they give, and _cdr_moves,
-_apply_cdr and _cdr_children on the same for cdr (_cdr_children lazily, as a
-generator).  Exhaustive for n <= 6, by hypothesis up to n = 60.  The kernel
-that ops.cdr_states hands out must give the same cdr children once decoded,
-also lazily: exhaustive for n <= 6, by hypothesis up to n = 160, across
-n = 127, the last length it stores as bytes, and against _cdr_children at
-n = 1, 2 and 127, with +-127 at either end.
+key's cut is (key + 1) >> 1), applicable_cds_moves, is_cds_fixed_point,
+_cds_children, _apply_cds and cds_applicable on which pairs apply and what
+they give, and _cdr_moves, _apply_cdr and _cdr_children on the same for cdr
+(_cdr_children lazily, as a generator).  Exhaustive for n <= 6, by
+hypothesis up to n = 60.  The kernel that ops.cdr_states hands out must
+give the same cdr children once decoded, also lazily: exhaustive for
+n <= 6, by hypothesis up to n = 160, across n = 127, the last length it
+stores as bytes, and against _cdr_children at n = 1, 2 and 127, with +-127
+at either end.
 """
 import inspect
 import itertools
@@ -48,7 +49,8 @@ def check_kernels(entries):
         (o1.cut, o2.cut) for o1, o2 in pairs]
 
     cds = dict(cds_moves_by_occurrences(entries))
-    assert ops._cds_moves(entries) == list(cds)
+    assert ops.applicable_cds_moves(entries) == tuple(cds)
+    assert ops.is_cds_fixed_point(entries) == (not cds)
     assert list(ops._cds_children(entries)) == list(cds.values())
     for p, q in itertools.combinations(range(1, len(entries)), 2):
         assert cds_applicable(entries, p, q) == ((p, q) in cds)

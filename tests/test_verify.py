@@ -75,6 +75,26 @@ def test_run_sweep_argument_validation():
         run_sweep("parity", 3, exhaustive=True, samples=10)
 
 
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_every_sweep_spends_its_budget(prop):
+    with pytest.raises(BudgetExceededError):
+        run_sweep(prop, 5, exhaustive=True, budget=3)
+
+
+@pytest.mark.parametrize("n, samples, seed, boundary", [
+    # exhaustive, one unit per signed permutation: each is one state
+    (5, 0, 0, 2 ** 5 * 120),
+    (6, 0, 0, 2 ** 6 * 720),
+    # sampled, one unit for each input and one for each of its children
+    (6, 5, 1, 12),
+])
+def test_commutation_sweep_spends_one_unit_per_position(n, samples, seed, boundary):
+    mode = dict(samples=samples, seed=seed) if samples else dict(exhaustive=True)
+    assert run_sweep("commutation", n, budget=boundary, **mode).failures == 0
+    with pytest.raises(BudgetExceededError):
+        run_sweep("commutation", n, budget=boundary - 1, **mode)
+
+
 def test_commutation_sweep_detail_counts_pointers():
     result = run_sweep("commutation", 5, exhaustive=True)
     assert result.failures == 0
