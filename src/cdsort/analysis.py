@@ -571,14 +571,16 @@ def greedy_safe_total_sequence(p) -> tuple[int, ...]:
 
 def _safe_ranks(g: graphmod.OrientedGraph, spend) -> list[int]:
     """Ranks of the greedy-safe moves from g, which has no unoriented
-    component, to a total terminal; calls spend() once per move."""
+    component, to a total terminal, played in place on one copy of g's rows;
+    calls spend() once per move."""
     rows, ori = graphmod.masks(g)
+    rows = list(rows)
     ranks = []
     while ori:
         step = graphmod.safe_move(rows, ori)
         if step is None:
             raise TheoremViolationError("no safe oriented vertex found")
-        i, rows, ori = step
+        i, ori = step
         ranks.append(i)
         spend()
     if any(rows):  # pragma: no cover - safety net
@@ -672,10 +674,9 @@ def _insertion_dfs(rows: tuple, ori: int, depth: int, suffix: tuple, tracker: Tr
 def cds_maximal_lengths(p, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Lengths of all maximal cds move sequences from p: every maximal cds run
     has one length (a known result the paper cites), so the greedy run's.  The
-    budget counts the greedy run's positions, as in cdr_sorting_lengths."""
-    _, steps, _ = ops.greedy_cds_run(as_entries(p))
-    if steps >= budget:
-        raise BudgetExceededError("search budget exhausted")
+    budget counts the greedy run's positions, as in cdr_sorting_lengths, and
+    the run stops at the first position past it."""
+    _, steps, _ = ops.greedy_cds_run(as_entries(p), Tracker(budget).spend)
     return frozenset((steps,))
 
 

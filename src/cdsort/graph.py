@@ -20,17 +20,21 @@ complementation is then XOR over GF(2): toggling the edges inside S is
 ``row[j] ^= S`` minus the own bit for each j in S, and flipping the flags is
 ``ori ^= S``.  The analysis and sweep code runs its hot loops on such
 positions through the position helpers below (masks, move, play_ranks,
-safe_move, playout_length, gf2_rank), which skip validation; the game code
-reads positions only in winner_by_parity and _minimax.  Only this module
-builds and moves positions; ori is read as the mask of the oriented ranks,
-and any(rows) as "an edge is left", also by analysis (_end_kind, _prefixes,
-_safe_ranks, _insertion_dfs), games._minimax and verify.
+safe_move, playout_length, gf2_rank), which skip validation.  move and
+play_ranks return a new rows tuple, while safe_move plays in place on the
+caller's rows list and undoes a rejected move by the same complementation.
+The game code reads positions only in winner_by_parity and _minimax.  Only
+this module builds and moves positions; ori is read as the mask of the
+oriented ranks, and any(rows) as "an edge is left", also by analysis
+(_end_kind, _prefixes, _safe_ranks, _insertion_dfs), games._minimax and
+verify.
 """
 from __future__ import annotations
 
 import random
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .ops import NotApplicableError
@@ -171,17 +175,23 @@ def play_ranks(rows: tuple, ori: int, ranks: Iterable[int]) -> tuple[tuple[int, 
     return tuple(rows), ori
 
 
-def safe_move(rows: tuple, ori: int) -> tuple[int, tuple[int, ...], int] | None:
+def safe_move(rows: list, ori: int) -> tuple[int, int] | None:
     """The lowest oriented rank whose gcdr leaves no unoriented component,
-    with the position it leads to; None when there is none.  Assumes the
-    position has no unoriented component."""
+    played in place on rows; returns that rank and the new orientation mask,
+    or None with rows unchanged when there is none.  Assumes the position has
+    no unoriented component."""
     for i in bits(ori):
-        moved = list(rows)
-        moved_ori = _gcdr_masks(moved, ori, i)
+        nb = rows[i]
+        moved_ori = _gcdr_masks(rows, ori, i)
         # gcdr only rewires the component of i, so with no unoriented
         # component before the move only the old neighbours need a look
-        if not _has_unoriented_component(moved, moved_ori, rows[i]):
-            return i, tuple(moved), moved_ori
+        if not _has_unoriented_component(rows, moved_ori, nb):
+            return i, moved_ori
+        # a reject: gcdr at i again from the old row i complements the same
+        # closed neighbourhood, which undoes the move but for row i itself
+        rows[i] = nb
+        _gcdr_masks(rows, ori, i)
+        rows[i] = nb
     return None
 
 
@@ -448,21 +458,41 @@ def is_total_terminal(g: OrientedGraph) -> bool:
 # serialization
 
 
+# a row's bits, lowest first, as itertools.compress selectors
+_SELECT = bytes.maketrans(b"0", b"\0")
+
+
 def _graph_lines(g: OrientedGraph, name: str, vertex: tuple[str, str], edge: str,
                  end: str = "") -> list[str]:
     """The vertex lines of g, then one line per edge (u, v) with u < v, both
-    in increasing label order.  Each label is formatted once, into name.  A
-    vertex line is vertex[1] (oriented) or vertex[0] (unoriented) with its
-    name; an edge line is edge with u's name, then v's name and end, so a
-    row's edge lines share one prefix."""
+    in increasing label order; joined with newlines they are the body of
+    to_text or to_dot.  Each label is formatted once, into name.  A vertex
+    line is vertex[1] (oriented) or vertex[0] (unoriented) with its name; an
+    edge line is edge with u's name, then v's name and end, so a row's edge
+    lines share one prefix.
+
+    A row dense over its span gives its edge lines as one string: compress
+    picks the names by the row's binary digits and one join writes them, in
+    C.  A row with few edges over a wide span, where formatting and slicing
+    the whole span would cost more, gives one string per edge, one bits step
+    each.
+    """
     ori = g._ori
     names = [name.format(_label(v)) for v in g._labels]
     lines = [vertex[ori >> i & 1].format(nm) for i, nm in enumerate(names)]
     for i, row in enumerate(g._rows):
-        above = row >> (i + 1) << (i + 1)
+        above = row >> (i + 1)
         if above:
             prefix = edge.format(names[i])
-            lines += [prefix + names[j] + end for j in bits(above)]
+            span = above.bit_length()
+            # the C path costs about five edges' worth per row, plus about a
+            # sixteenth of an edge per bit of span
+            if above.bit_count() * 16 > span + 80:
+                selectors = format(above, "b")[::-1].encode().translate(_SELECT)
+                picked = compress(names[i + 1:i + 1 + span], selectors)
+                lines.append(prefix + (end + "\n" + prefix).join(picked) + end)
+            else:
+                lines += [prefix + names[i + 1 + j] + end for j in bits(above)]
     return lines
 
 
@@ -474,14 +504,6 @@ def to_text(g: OrientedGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _ParsedLabels(dict):
-    """Label token -> vertex, each distinct token parsed on first lookup."""
-
-    def __missing__(self, token: str) -> int:
-        v = self[token] = _parse_label(token)
-        return v
-
-
 def graph_from_text(text: str) -> OrientedGraph:
     """Parse the to_text form.  Blank lines and '#' comments are ignored; the
     lines may come in any order and may repeat, and a vertex is oriented when
@@ -491,21 +513,33 @@ def graph_from_text(text: str) -> OrientedGraph:
     "edge LABEL LABEL", or a malformed label, raises ValueError at the first
     such line, its message starting "line N: ".  Then an edge that is a
     self-loop or names an undeclared vertex raises ValueError naming the
-    first such edge in text order."""
+    first such edge in text order.
+
+    One pass over the lines; each distinct label token is parsed once, on
+    first sight, into a plain dict of token -> vertex."""
     vertices = set()
     oriented = set()
     edges = []
-    vertex_of = _ParsedLabels()
+    vertex_of: dict[str, int] = {}
+    get = vertex_of.get
     for ln, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split("#", 1)[0].split()
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         try:
             if len(parts) == 3:
                 kind, a, b = parts
                 if kind == "edge":
-                    edges.append((vertex_of[a], vertex_of[b]))
+                    u = get(a)
+                    if u is None:  # label 0 is a vertex too, so test for None
+                        u = vertex_of[a] = _parse_label(a)
+                    v = get(b)
+                    if v is None:
+                        v = vertex_of[b] = _parse_label(b)
+                    edges.append((u, v))
                     continue
                 if kind == "vertex" and b in ("oriented", "unoriented"):
-                    v = vertex_of[a]
+                    v = get(a)
+                    if v is None:
+                        v = vertex_of[a] = _parse_label(a)
                     vertices.add(v)
                     if b == "oriented":
                         oriented.add(v)

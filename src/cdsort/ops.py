@@ -239,11 +239,14 @@ def _cds_children(entries: Entries) -> Iterator[Entries]:
         yield _swap(entries, arcs[p - 1], arcs[q - 1])
 
 
-def greedy_cds_run(entries: Entries) -> tuple[Entries, int, list]:
+def greedy_cds_run(entries: Entries, spend=lambda: None) -> tuple[Entries, int, list]:
     """Apply the first applicable cds (canonical order) until none remains.
-    Returns (end state, step count, moves taken)."""
+    Returns (end state, step count, moves taken); calls spend() once per
+    position, before looking for its move, so a budget's spend stops the run
+    early."""
     taken = []
     while True:
+        spend()
         arcs = _arcs(entries)
         pq = next(_cds_pairs(arcs), None)
         if pq is None:

@@ -15,7 +15,7 @@ over the states of ops.cdr_states, because its incomplete listing reads the
 memo's keys as entries.  ops._cdr_children is the single step, _apply_cdr
 at each pointer _cdr_moves lists, so this reference shares no code with the
 bytes kernel the walk runs below n = 128.
-The last three sections keep earlier versions verbatim as the reference for
+The last four sections keep earlier versions verbatim as the reference for
 their rewrites:
 
 - minimax_closure: the game-tree search;
@@ -29,7 +29,11 @@ their rewrites:
   (it folds over ops._cdr_children, the single step, so below n = 128 it
   checks the bytes kernel as well as the count packing);
 - all_signed_permutations_by_masks: the exhaustive input generator;
-- format_entries_by_generator: the text form of a permutation.
+- format_entries_by_generator: the text form of a permutation;
+- graph_lines_by_bits, to_dot_by_bits: the row writer behind to_text and
+  to_dot, one edge line per bits step;
+- safe_move_by_copies, safe_ranks_by_copies: greedy-safe play with a copy
+  of the rows per candidate move.
 """
 from __future__ import annotations
 
@@ -48,8 +52,11 @@ from cdsort.analysis import (
 )
 from cdsort.graph import (
     OrientedGraph,
+    _gcdr_masks,
+    _has_unoriented_component,
     _label,
     _parse_label,
+    bits,
     build_overlap_graph,
     gcdr,
     gf2_rank,
@@ -558,3 +565,64 @@ def all_signed_permutations_by_masks(n: int) -> Iterator[Entries]:
 def format_entries_by_generator(entries: Sequence[int]) -> str:
     """Bracketed, comma-separated text form; inverse of parse_entries."""
     return "[" + ", ".join(str(v) for v in entries) + "]"
+
+
+# ---------------------------------------------------------------------------
+# the graph rows written one edge line per bits step, and greedy-safe play
+# with a copy of the rows per candidate move, kept verbatim as they were
+# before rows were written in C and moves played in place
+
+
+def graph_lines_by_bits(g: OrientedGraph, name: str, vertex: tuple[str, str], edge: str,
+                        end: str = "") -> list[str]:
+    """The vertex lines of g, then one line per edge (u, v) with u < v, both
+    in increasing label order.  Each label is formatted once, into name.  A
+    vertex line is vertex[1] (oriented) or vertex[0] (unoriented) with its
+    name; an edge line is edge with u's name, then v's name and end, so a
+    row's edge lines share one prefix."""
+    ori = g._ori
+    names = [name.format(_label(v)) for v in g._labels]
+    lines = [vertex[ori >> i & 1].format(nm) for i, nm in enumerate(names)]
+    for i, row in enumerate(g._rows):
+        above = row >> (i + 1) << (i + 1)
+        if above:
+            prefix = edge.format(names[i])
+            lines += [prefix + names[j] + end for j in bits(above)]
+    return lines
+
+
+def to_dot_by_bits(g: OrientedGraph) -> str:
+    """Graphviz form; oriented vertices get style=filled."""
+    lines = graph_lines_by_bits(g, '"{}"', ("  {};", "  {} [style=filled];"), "  {} -- ", ";")
+    return "\n".join(["graph overlap {", "  node [shape=circle];", *lines, "}\n"])
+
+
+def safe_move_by_copies(rows: tuple, ori: int) -> tuple[int, tuple[int, ...], int] | None:
+    """The lowest oriented rank whose gcdr leaves no unoriented component,
+    with the position it leads to; None when there is none.  Assumes the
+    position has no unoriented component."""
+    for i in bits(ori):
+        moved = list(rows)
+        moved_ori = _gcdr_masks(moved, ori, i)
+        # gcdr only rewires the component of i, so with no unoriented
+        # component before the move only the old neighbours need a look
+        if not _has_unoriented_component(moved, moved_ori, rows[i]):
+            return i, tuple(moved), moved_ori
+    return None
+
+
+def safe_ranks_by_copies(g: OrientedGraph, spend) -> list[int]:
+    """Ranks of the greedy-safe moves from g, which has no unoriented
+    component, to a total terminal; calls spend() once per move."""
+    rows, ori = graphmod.masks(g)
+    ranks = []
+    while ori:
+        step = safe_move_by_copies(rows, ori)
+        if step is None:
+            raise TheoremViolationError("no safe oriented vertex found")
+        i, rows, ori = step
+        ranks.append(i)
+        spend()
+    if any(rows):  # pragma: no cover - safety net
+        raise TheoremViolationError("safe play ended in a non-total terminal")
+    return ranks

@@ -16,6 +16,7 @@ on every small input.  The walk must also expand the same states in the same
 order as the fold, so that its answers, its incomplete listings and its
 budget boundaries are the fold's (tests/oracles.py keeps the fold's answers).
 """
+import random
 from collections import Counter
 
 import pytest
@@ -115,6 +116,26 @@ def test_budget_is_one_unit_per_reachable_state(entries):
     assert cds_maximal_lengths(entries, budget=steps + 1) == frozenset((steps,))
     with pytest.raises(BudgetExceededError):
         cds_maximal_lengths(entries, budget=steps)
+
+
+def test_cds_budget_stops_the_greedy_run(monkeypatch):
+    # a random all-positive permutation of 600 has a greedy cds run of
+    # hundreds of steps; the budget stops it at the first position past it,
+    # one arc table per position spent, instead of after the whole run
+    entries = tuple(random.Random(6).sample(range(1, 601), 600))
+    tables = []
+
+    def counting_arcs(entries):
+        tables.append(None)
+        return arcs(entries)
+
+    arcs = ops._arcs
+    monkeypatch.setattr(ops, "_arcs", counting_arcs)
+    for budget in (1, 2):
+        tables.clear()
+        with pytest.raises(BudgetExceededError):
+            cds_maximal_lengths(entries, budget=budget)
+        assert len(tables) == budget
 
 
 @pytest.mark.parametrize("n, state", [(127, bytes), (128, tuple)])

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdsort.analysis import classify_sequence, greedy_safe_total_sequence
+from cdsort.analysis import (
+    TheoremViolationError,
+    _safe_ranks,
+    classify_sequence,
+    greedy_safe_total_sequence,
+)
 from cdsort.graph import (
     OrientedGraph,
     build_overlap_graph,
@@ -19,7 +24,9 @@ from cdsort.graph import (
     is_oriented_sequence,
     local_complement,
     masks,
+    move,
     playout_length,
+    safe_move,
     to_dot,
     to_text,
 )
@@ -39,6 +46,9 @@ from oracles import (
     graph_from_text_sets,
     is_oriented_sequence_by_gcdr,
     playout_length_sets,
+    safe_move_by_copies,
+    safe_ranks_by_copies,
+    to_dot_by_bits,
     to_dot_edge_list,
     to_text_edge_list,
 )
@@ -109,16 +119,29 @@ def test_masks_match_sets_on_larger_permutations(n, rnd):
 
 
 def random_graph(rng):
-    """A random graph on a random subset of LABELS, on 1..k, or an overlap
-    graph."""
+    """A random graph on a random subset of LABELS and 0, on 1..k, or an
+    overlap graph."""
     kind = rng.randrange(3)
     if kind == 0:
-        verts = rng.sample(LABELS, rng.randint(0, len(LABELS)))
+        verts = rng.sample(LABELS + (0,), rng.randint(0, len(LABELS) + 1))
         edges = [(u, v) for u, v in itertools.combinations(verts, 2) if rng.random() < 0.5]
         return OrientedGraph(verts, edges, [v for v in verts if rng.random() < 0.5])
     if kind == 1:
         return random_oriented_graph(rng, rng.randint(0, 8), rng.random())
     return build_overlap_graph(random_signed_permutation(rng, rng.randint(1, 12)))
+
+
+def large_graphs():
+    """Overlap graphs at n = 100..149, dense enough that most rows take the
+    compress path, and two sparse graphs on 1,500 vertices whose rows take
+    the bits path: the path (v, v+1) and the matching (v, v+750)."""
+    rng = random.Random(47)
+    graphs = [build_overlap_graph(random_signed_permutation(rng, n)) for n in range(100, 150, 10)]
+    n = 1500
+    graphs.append(OrientedGraph(range(1, n + 1), [(v, v + 1) for v in range(1, n)], [1]))
+    matching = [(v, v + n // 2) for v in range(1, n // 2 + 1)]
+    graphs.append(OrientedGraph(range(1, n + 1), matching, range(1, n + 1, 3)))
+    return graphs
 
 
 def test_to_text_matches_edge_list_version():
@@ -127,6 +150,9 @@ def test_to_text_matches_edge_list_version():
     for _ in range(500):
         g = random_graph(rng)
         assert to_text(g) == to_text_edge_list(g)
+    for g in large_graphs():
+        assert to_text(g) == to_text_edge_list(g)
+        assert to_dot(g) == to_dot_by_bits(g)
 
 
 def test_to_dot_matches_edge_list_version():
@@ -139,7 +165,7 @@ def test_to_dot_matches_edge_list_version():
     rng = random.Random(44)
     for _ in range(500):
         g = random_graph(rng)
-        assert to_dot(g) == to_dot_edge_list(g)
+        assert to_dot(g) == to_dot_edge_list(g) == to_dot_by_bits(g)
 
 
 def test_is_oriented_sequence_matches_gcdr_version():
@@ -237,9 +263,10 @@ def test_graph_from_text_matches_sets_version():
     # the same graph or the same error as the oracle parser, except that a
     # bad-label error also names the line that carries the bad token
     rng = random.Random(43)
-    labelled = 0
+    labelled = zero = 0
     for case in range(3000):
         g = random_graph(rng)
+        zero += 0 in g.vertices  # "(0,1)": label 0 is falsy, yet a vertex
         bad = case % 2 == 1
         text = graph_text(rng, g, bad)
         parsed = _parse(graph_from_text, text)
@@ -252,4 +279,85 @@ def test_graph_from_text_matches_sets_version():
             assert isinstance(parsed, tuple), text
         else:
             assert parsed == g, text
-    assert labelled > 100
+    assert labelled > 100 and zero > 100
+
+
+# ---------------------------------------------------------------------------
+# greedy-safe play in place against the copy-per-move version it replaced
+
+
+def _safe_play(play, g):
+    """The ranks and spend count of play from g, or the error it raised."""
+    spent = []
+    try:
+        return play(g, lambda: spent.append(None)), len(spent)
+    except TheoremViolationError as exc:
+        return str(exc), len(spent)
+
+
+def _check_safe_moves(g):
+    """Step safe_move in place beside the copy-per-move version; the number
+    of moves whose lowest oriented candidate was rejected."""
+    rows, ori = masks(g)
+    moved_rows = list(rows)
+    rejected = 0
+    while True:
+        step = safe_move(moved_rows, ori)
+        expected = safe_move_by_copies(rows, ori)
+        if expected is None:
+            assert step is None and tuple(moved_rows) == rows
+            return rejected
+        i, rows, moved_ori = expected
+        assert step == (i, moved_ori) and tuple(moved_rows) == rows
+        rejected += ori & -ori != 1 << i
+        ori = moved_ori
+
+
+def test_safe_play_matches_copy_per_move_version_on_small_graphs():
+    rng = random.Random(48)
+    checked = rejected = 0
+    while checked < 3000:
+        g = random_oriented_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+        if has_unoriented_component(g):
+            continue
+        checked += 1
+        rejected += _check_safe_moves(g)
+        assert _safe_play(_safe_ranks, g) == _safe_play(safe_ranks_by_copies, g)
+    assert rejected > 500
+
+
+def test_safe_play_matches_copy_per_move_version_off_its_precondition():
+    # with an unoriented component, play ends with edges left; both versions
+    # raise the same error after the same spends.  A move is checked only
+    # around its old neighbours, so an unoriented component elsewhere never
+    # turns a move down, and each oriented component has a safe vertex
+    rng = random.Random(49)
+    errors = set()
+    for _ in range(1000):
+        g = random_oriented_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5)))
+        if has_unoriented_component(g):
+            _check_safe_moves(g)
+            result = _safe_play(_safe_ranks, g)
+            assert result == _safe_play(safe_ranks_by_copies, g)
+            if isinstance(result[0], str):
+                errors.add(result[0])
+    assert errors == {"safe play ended in a non-total terminal"}
+
+
+def test_safe_play_matches_copy_per_move_version_on_overlap_graphs():
+    rng = random.Random(50)
+    for n in range(100, 150, 7):
+        g = build_overlap_graph(random_signed_permutation(rng, n))
+        _check_safe_moves(g)
+        assert _safe_play(_safe_ranks, g) == _safe_play(safe_ranks_by_copies, g)
+
+
+def test_safe_move_rejects_an_unsafe_lowest_vertex():
+    # the path 1 - 2 - 3 with 1 and 2 oriented: gcdr at 1 leaves 2 - 3 with
+    # no oriented vertex, so the move is undone and 2 is played instead
+    g = OrientedGraph((1, 2, 3), ((1, 2), (2, 3)), (1, 2))
+    rows, ori = masks(g)
+    moved_rows = list(rows)
+    assert safe_move(moved_rows, ori) == (1, move(rows, ori, 1)[1])
+    assert tuple(moved_rows) == move(rows, ori, 1)[0]
+    assert _safe_ranks(g, lambda: None)[0] == 1
