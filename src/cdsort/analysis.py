@@ -115,12 +115,19 @@ def fold(state, memo: dict, tracker: Tracker, children, leaf, combine):
     Its users are the queries that need more than which states are reachable
     and at what depth: maximal_sequence_lengths (run counts),
     criterion_discrepancies and the same-length sweep (the identity fold of
-    sorting_length_mask), and the other property sweeps; the sweeps and
-    criterion_discrepancies share one memo across their inputs.  The others
-    use walk.  The cdr users fold over the states of ops.cdr_states: they
-    encode the input once, and a leaf that reads a fixed point decodes it
-    first, so no leaf reads a state's layout and no result holds a state.
-    cds_length_mask folds over entries tuples.
+    sorting_length_mask), and the parity, rescue and steps sweeps in sample
+    mode, and cds-same-length; the sweeps and criterion_discrepancies share
+    one memo across their inputs.  The others use walk.  The cdr users fold
+    over the states of ops.cdr_states: they encode the input once, and a
+    leaf that reads a fixed point decodes it first, so no leaf reads a
+    state's layout and no result holds a state.  The exhaustive parity and
+    same-length sweeps fold here over canonical states instead, one per
+    orbit of ops.CdrOrbits, with a children kernel that yields each child's
+    canonical state: their masks are the same on every state of an orbit.
+    The exhaustive rescue and steps sweeps fold fixed-point tables over
+    canonical states in verify, where each child's table is mapped back by
+    the map that canonicalised it.  cds_length_mask folds over entries
+    tuples.
     """
     res = memo.get(state)
     if res is None:
@@ -207,20 +214,27 @@ def fixed_point_masks(entries: Entries, memo: dict, tracker: Tracker) -> dict:
                 _extend_fixed_points)
 
 
-def maximal_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
+def maximal_length_mask(entries: Entries, memo: dict, tracker: Tracker,
+                        states=ops.cdr_states) -> int:
     """Length mask of all maximal cdr runs from ``entries``, folded over the
-    states of ops.cdr_states."""
-    root, children, _ = ops.cdr_states(entries)
+    states of ``states``: ops.cdr_states, or in an exhaustive sweep the
+    canonical states of ops.CdrOrbits.states, since the mask is the same on
+    every state of an orbit."""
+    root, children, _ = states(entries)
     return fold(root, memo, tracker, children, lambda _: 1, _extend_lengths)
 
 
-def sorting_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
+def sorting_length_mask(entries: Entries, memo: dict, tracker: Tracker,
+                        states=ops.cdr_states) -> int:
     """Length mask of the cdr runs from ``entries`` to the identity, 0 when
     none reaches it: maximal_length_mask's fold with a leaf of 1 at the
-    identity and 0 at every other fixed point, which it decodes to tell.  It
-    visits the states of fixed_point_masks in the same order and keeps one
-    int per state."""
-    root, children, decode = ops.cdr_states(entries)
+    identity and 0 at every other fixed point, which it decodes to tell.  On
+    ops.cdr_states it visits the states of fixed_point_masks in the same
+    order and keeps one int per state.  An exhaustive sweep passes the
+    canonical states of ops.CdrOrbits.states under the identity and CNR
+    alone: CNR fixes the identity, so the mask is the same on both states of
+    an orbit, and a canonical fixed point is the identity only if it is."""
+    root, children, decode = states(entries)
     return fold(root, memo, tracker, children, lambda fp: int(is_identity(decode(fp))),
                 _extend_lengths)
 

@@ -34,7 +34,9 @@ them as the single step, _apply_cdr at each pointer _cdr_moves lists.  A
 public operation wraps a kernel's result with SignedPermutation._of, which
 does not validate it again.  Every trace, by contrast, takes the strict
 public step: _apply_move applies one ("cdr", i) or ("cds", (i, j)) move with
-full checks.
+full checks.  CdrOrbits, also on bytes states, holds the maps R and CN that
+commute with cdr, and the canonical states and children kernels of an
+exhaustive sweep that folds one state per orbit of them.
 """
 from __future__ import annotations
 
@@ -125,6 +127,80 @@ def cdr_states(entries: Entries):
 
 def _decode(state: bytes) -> Entries:
     return tuple([_VALUE[b] for b in state])
+
+
+# Two maps of signed permutations commute with cdr: R, the other strand,
+# (-p[n-1], ..., -p[0]), and CN, which maps each entry v to
+# -sign(v) * (n + 1 - |v|).  cdr at pointer i of p is cdr at pointer i of R(p)
+# and at pointer n - i of CN(p), so the children of R(p) in pointer order are
+# the images of p's children in the same order, and those of CN(p) are their
+# images in reverse order.  With CNR = CN R and the identity they form a Klein
+# four-group: the maps commute and each is its own inverse.  So every state of
+# an orbit has the same move graph up to the map, and an exhaustive sweep can
+# fold one state per orbit, the least of its images.  On bytes states R is
+# one reversed slice and one translate, CN one translate, and CNR both.
+
+
+class CdrOrbits:
+    """The orbits of bytes states of n < 128 entries under a group of the
+    maps above: all four, or only the identity and CNR (which keeps each
+    entry's sign, and fixes the identity, where R and CN swap it with the
+    reverse identity).
+
+    maps      -- the group's maps on states, identity first;
+    least     -- a state -> the least of its images, its orbit's canonical
+                 state;
+    children  -- a state -> the least image of each cdr child, in pointer
+                 order;
+    states    -- entries -> (least root, children, decode), the triple of
+                 cdr_states over canonical states;
+
+    and under all four maps, for folds whose values move with the map:
+
+    locate    -- a state -> (least, k), where maps[k] takes the state to
+                 least and least back to the state;
+    edges     -- a state -> locate(child) for each cdr child, in pointer
+                 order.
+    """
+
+    def __init__(self, n: int, cnr_only: bool = False):
+        if not 0 < n < 0x80:
+            raise ValueError(f"orbits of bytes states need 1 <= n <= 127, got {n}")
+        cnr = bytes(b if b & 0x7F > n or not b & 0x7F else (n + 1 - (b & 0x7F)) | (b & 0x80)
+                    for b in range(256))
+        if cnr_only:
+            self.maps = (_same, lambda state: state[::-1].translate(cnr))
+
+            def least(state):
+                image = state[::-1].translate(cnr)
+                return image if image < state else state
+        else:
+            cn = cnr.translate(_NEG)
+            self.maps = (_same, lambda state: state[::-1].translate(_NEG),
+                         lambda state: state.translate(cn),
+                         lambda state: state[::-1].translate(cnr))
+
+            def locate(state):
+                back = state[::-1]
+                images = (state, back.translate(_NEG), state.translate(cn), back.translate(cnr))
+                low = min(images)
+                return low, images.index(low)
+
+            def least(state):
+                back = state[::-1]
+                return min(state, back.translate(_NEG), state.translate(cn), back.translate(cnr))
+
+            self.locate = locate
+            self.edges = lambda state: map(locate, _cdr_children_bytes(state))
+        self.least = least
+        self.children = lambda state: map(least, _cdr_children_bytes(state))
+
+    def states(self, entries: Entries):
+        return self.least(cdr_states(entries)[0]), self.children, _decode
+
+
+def _same(state: bytes) -> bytes:
+    return state
 
 
 def _cdr_children_bytes(state: bytes) -> Iterator[bytes]:

@@ -12,6 +12,14 @@ order.  Sample mode draws permutations of length n uniformly at random from a
 seeded generator, so a (seed, n, samples) triple always reproduces the same
 records.
 
+The exhaustive parity, same-length, rescue and steps sweeps fold one state
+per orbit of the symmetries of the cdr move graph (ops.CdrOrbits), the least
+of its images, and spend one unit of the budget per canonical state: their
+records are the plain fold's, in about a quarter of the states (half for
+same-length, whose group is the identity and CNR, the maps that fix the
+identity).  Sample mode, tuple states (n >= 128) and commutation fold
+plainly.
+
 Properties:
 
 * parity           -- all maximal cdr run lengths share one parity.
@@ -76,17 +84,78 @@ class SweepResult:
                 f"cases={self.cases} failures={self.failures} seed={seed}")
 
 
-class _SweepContext:
-    """One sweep's budget, its one memo and its greedy-cds cache, shared
-    across its inputs: a sweep checks one property, which folds one way.
-    The commutation sweep folds nothing: it spends one unit per overlap-graph
-    position it builds and, exhaustive, keeps each state's in the memo."""
+# the properties whose exhaustive sweeps fold over one state per orbit (see
+# ops.CdrOrbits), and whether their group is only the identity and CNR
+_ORBITS = {"parity": False, "same-length": True, "rescue": False, "steps": False}
 
-    def __init__(self, budget: int, exhaustive: bool):
+
+class _SweepContext:
+    """One sweep's budget, its one memo, its verdicts by length mask and its
+    greedy-cds cache, shared across its inputs: a sweep checks one property,
+    which folds one way.
+
+    The exhaustive parity, same-length, rescue and steps sweeps fold over the
+    canonical states of ``orbits``, spending one unit per canonical state;
+    their records are those of the plain fold, which sample mode, tuple
+    states (n >= 128) and the other properties keep.  ``targets[k]`` is the
+    identity as a fixed-point table keys it, taken by the k-th map: a state
+    there, the entries otherwise.  The commutation sweep folds nothing: it
+    spends one unit per overlap-graph position it builds and, exhaustive,
+    keeps each state's in the memo."""
+
+    def __init__(self, prop: str, n: int, budget: int, exhaustive: bool):
         self.tracker = Tracker(budget)
         self.memo: dict = {}
-        self.greedy_cds = functools.cache(ops.greedy_cds_run)
+        self.verdicts: dict = {}
         self.exhaustive = exhaustive
+        self.identity = identity_entries(n)
+        self.orbits = None
+        self.states = ops.cdr_states
+        maps, target, decode = (_same,), self.identity, _same
+        if exhaustive and prop in _ORBITS and n <= 127:  # bytes states
+            self.orbits = ops.CdrOrbits(n, cnr_only=_ORBITS[prop])
+            self.states = self.orbits.states
+            maps = self.orbits.maps
+            target, _, decode = ops.cdr_states(self.identity)
+        self.targets = tuple(image(target) for image in maps)
+
+        @functools.cache
+        def cds_finish(fp):
+            """Per map k: (the entries of the k-th image of a fixed point as
+            its table keys it, greedy cds's end state from there, and its
+            step count)."""
+            finish = []
+            for image in maps:
+                entries = decode(image(fp))
+                end, steps, _ = ops.greedy_cds_run(entries)
+                finish.append((entries, end, steps))
+            return finish
+
+        self.cds_finish = cds_finish
+
+    def verdict(self, judge, mask: int) -> tuple[bool, str]:
+        """judge(mask), the (ok, detail) of a record, built once per distinct
+        length mask in the sweep."""
+        hit = self.verdicts.get(mask)
+        if hit is None:
+            hit = self.verdicts[mask] = judge(mask)
+        return hit
+
+    def fixed_points(self, entries: Entries) -> tuple[dict, int]:
+        """(table, k): fixed point -> length mask of the cdr runs ending
+        there, and the index of the map taking the table's keys to the
+        input's: targets[k] is the identity and cds_finish(fp)[k] reads the
+        fixed point, in the table's keys.  On orbits the table is the
+        canonical state's, keyed by states, and k names the map that
+        canonicalised the input (each map is its own inverse).  Otherwise it
+        is fixed_point_masks', and k is 0, the identity."""
+        if self.orbits is None:
+            return analysis.fixed_point_masks(entries, self.memo, self.tracker), 0
+        state, k = self.orbits.locate(ops.cdr_states(entries)[0])
+        table = self.memo.get(state)
+        if table is None:
+            table = _fixed_point_states(state, self.memo, self.tracker.spend, self.orbits)
+        return table, k
 
     def overlap_masks(self, state, decode):
         """The overlap-graph position of a state of ops.cdr_states.  In an
@@ -104,36 +173,68 @@ class _SweepContext:
         return hit
 
 
+def _same(x):
+    return x
+
+
+def _fixed_point_states(state, memo: dict, spend, orbits: ops.CdrOrbits) -> dict:
+    """analysis.fixed_point_masks' fold at a canonical state not in ``memo``,
+    over the canonical states of ``orbits``: each holds its fixed points, as
+    states, with their length masks.  A child's table is its canonical
+    state's taken back by the map that canonicalised the child, so nothing
+    is decoded here.  One interpreter frame per move, as analysis.fold."""
+    spend()
+    table: dict = {}
+    maps = orbits.maps
+    for child, k in orbits.edges(state):
+        res = memo.get(child)
+        if res is None:
+            res = _fixed_point_states(child, memo, spend, orbits)
+        image = maps[k]
+        for fp, mask in res.items():
+            fp = image(fp)
+            table[fp] = table.get(fp, 0) | mask << 1
+    table = memo[state] = table or {state: 1}
+    return table
+
+
+def _parity(mask: int) -> tuple[bool, str]:
+    lengths = mask_lengths(mask)
+    return len({length % 2 for length in lengths}) == 1, "lengths=" + ",".join(map(str, lengths))
+
+
 def _check_parity(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    lengths = mask_lengths(analysis.maximal_length_mask(entries, ctx.memo, ctx.tracker))
-    ok = len({length % 2 for length in lengths}) == 1
-    return ok, "lengths=" + ",".join(map(str, lengths))
+    return ctx.verdict(_parity, analysis.maximal_length_mask(entries, ctx.memo, ctx.tracker,
+                                                             ctx.states))
 
 
-def _check_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    mask = analysis.sorting_length_mask(entries, ctx.memo, ctx.tracker)
+def _same_length(mask: int) -> tuple[bool, str]:
     if not mask:
         return True, "not-cdr-sortable"
     lengths = mask_lengths(mask)
     return len(lengths) == 1, "sorting-lengths=" + ",".join(map(str, lengths))
 
 
+def _check_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
+    return ctx.verdict(_same_length, analysis.sorting_length_mask(entries, ctx.memo, ctx.tracker,
+                                                                  ctx.states))
+
+
 def _check_rescue(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    target = identity_entries(len(entries))
-    fps = analysis.fixed_point_masks(entries, ctx.memo, ctx.tracker)
-    if target not in fps:
+    fps, k = ctx.fixed_points(entries)
+    if ctx.targets[k] not in fps:
         return True, "not-cdr-sortable"
     bad = 0
     for fp in fps:
-        end, _, _ = ctx.greedy_cds(fp)
-        if end != target or any(v < 0 for v in fp):
+        fp, end, _ = ctx.cds_finish(fp)[k]
+        if end != ctx.identity or any(v < 0 for v in fp):
             bad += 1
     return bad == 0, f"fixed-points={len(fps)} unrescued={bad}"
 
 
 def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    target = identity_entries(len(entries))
-    fps = analysis.fixed_point_masks(entries, ctx.memo, ctx.tracker)
+    fps, k = ctx.fixed_points(entries)
+    target = ctx.targets[k]
     if target not in fps:
         return True, "not-cdr-sortable"
     sort_lengths = mask_lengths(fps[target])
@@ -144,21 +245,25 @@ def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     bad = 0
     for fp, mask in fps.items():
         ks = mask_lengths(mask)
-        end, m, _ = ctx.greedy_cds(fp)
-        if end != target:
+        _, end, m = ctx.cds_finish(fp)[k]
+        if end != ctx.identity:
             bad += len(ks)
             pairs += len(ks)
             continue
-        for k in ks:
+        for length in ks:
             pairs += 1
-            if k + 2 * m != sorting_length:
+            if length + 2 * m != sorting_length:
                 bad += 1
     return bad == 0, f"runs={pairs} violations={bad} sorting-length={sorting_length}"
 
 
-def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    lengths = mask_lengths(analysis.cds_length_mask(entries, ctx.memo, ctx.tracker))
+def _cds_same_length(mask: int) -> tuple[bool, str]:
+    lengths = mask_lengths(mask)
     return len(lengths) == 1, "lengths=" + ",".join(map(str, lengths))
+
+
+def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
+    return ctx.verdict(_cds_same_length, analysis.cds_length_mask(entries, ctx.memo, ctx.tracker))
 
 
 def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
@@ -199,7 +304,7 @@ def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
     if exhaustive == bool(samples):
         raise ValueError("choose exactly one of exhaustive or samples")
     check = _CHECKS[prop]
-    ctx = _SweepContext(budget, exhaustive)
+    ctx = _SweepContext(prop, n, budget, exhaustive)
     if exhaustive:
         inputs: Iterable[Entries] = all_signed_permutations(n)
         mode, used_seed = "exhaustive", None

@@ -15,7 +15,7 @@ over the states of ops.cdr_states, because its incomplete listing reads the
 memo's keys as entries.  ops._cdr_children is the single step, _apply_cdr
 at each pointer _cdr_moves lists, so this reference shares no code with the
 bytes kernel the walk runs below n = 128.
-The last four sections keep earlier versions verbatim as the reference for
+The last five sections keep earlier versions verbatim as the reference for
 their rewrites:
 
 - minimax_closure: the game-tree search;
@@ -33,12 +33,17 @@ their rewrites:
 - graph_lines_by_bits, to_dot_by_bits: the row writer behind to_text and
   to_dot, one edge line per bits step;
 - safe_move_by_copies, safe_ranks_by_copies: greedy-safe play with a copy
-  of the rows per candidate move.
+  of the rows per candidate move;
+- plain_sweep_records and the _check_* functions: the property checks of
+  the exhaustive sweeps on the plain fold, one state per signed permutation,
+  with each record's detail built per input.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
@@ -49,6 +54,7 @@ from cdsort.analysis import (
     TheoremViolationError,
     Tracker,
     classify_sequence,
+    mask_lengths,
 )
 from cdsort.graph import (
     OrientedGraph,
@@ -63,7 +69,16 @@ from cdsort.graph import (
     overlap_masks,
 )
 from cdsort.ops import _apply_cdr, _cdr_moves
-from cdsort.perm import Entries, SignedPermutation, as_entries, pointer_occurrences
+from cdsort.perm import (
+    Entries,
+    SignedPermutation,
+    all_signed_permutations,
+    as_entries,
+    format_entries,
+    identity_entries,
+    pointer_occurrences,
+)
+from cdsort.verify import CheckRecord
 
 
 # ---------------------------------------------------------------------------
@@ -626,3 +641,82 @@ def safe_ranks_by_copies(g: OrientedGraph, spend) -> list[int]:
     if any(rows):  # pragma: no cover - safety net
         raise TheoremViolationError("safe play ended in a non-total terminal")
     return ranks
+
+
+# ---------------------------------------------------------------------------
+# the plain sweep checks, kept verbatim as they were before the exhaustive
+# sweeps folded one state per orbit and built each detail once per mask: the
+# reference for verify's canonical sweeps.  plain_sweep_records runs them
+# over every input of length n on one plain fold memo, as the sweep did.
+
+
+def plain_sweep_records(prop: str, n: int, budget: int = analysis.DEFAULT_BUDGET) -> list:
+    """The exhaustive sweep's records of a plain check, in input order."""
+    check = {"parity": _check_parity, "same-length": _check_same_length,
+             "rescue": _check_rescue, "steps": _check_steps,
+             "cds-same-length": _check_cds_same_length}[prop]
+    ctx = _SweepContext(memo={}, tracker=Tracker(budget),
+                        greedy_cds=functools.cache(ops.greedy_cds_run))
+    return [CheckRecord(prop, format_entries(entries), *check(entries, ctx))
+            for entries in all_signed_permutations(n)]
+
+
+# the one memo, budget and greedy-cds cache the plain checks read
+_SweepContext = SimpleNamespace
+
+
+def _check_parity(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
+    lengths = mask_lengths(analysis.maximal_length_mask(entries, ctx.memo, ctx.tracker))
+    ok = len({length % 2 for length in lengths}) == 1
+    return ok, "lengths=" + ",".join(map(str, lengths))
+
+
+def _check_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
+    mask = analysis.sorting_length_mask(entries, ctx.memo, ctx.tracker)
+    if not mask:
+        return True, "not-cdr-sortable"
+    lengths = mask_lengths(mask)
+    return len(lengths) == 1, "sorting-lengths=" + ",".join(map(str, lengths))
+
+
+def _check_rescue(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
+    target = identity_entries(len(entries))
+    fps = analysis.fixed_point_masks(entries, ctx.memo, ctx.tracker)
+    if target not in fps:
+        return True, "not-cdr-sortable"
+    bad = 0
+    for fp in fps:
+        end, _, _ = ctx.greedy_cds(fp)
+        if end != target or any(v < 0 for v in fp):
+            bad += 1
+    return bad == 0, f"fixed-points={len(fps)} unrescued={bad}"
+
+
+def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
+    target = identity_entries(len(entries))
+    fps = analysis.fixed_point_masks(entries, ctx.memo, ctx.tracker)
+    if target not in fps:
+        return True, "not-cdr-sortable"
+    sort_lengths = mask_lengths(fps[target])
+    if len(sort_lengths) != 1:
+        return False, "sorting-lengths=" + ",".join(map(str, sort_lengths))
+    sorting_length = sort_lengths[0]
+    pairs = 0
+    bad = 0
+    for fp, mask in fps.items():
+        ks = mask_lengths(mask)
+        end, m, _ = ctx.greedy_cds(fp)
+        if end != target:
+            bad += len(ks)
+            pairs += len(ks)
+            continue
+        for k in ks:
+            pairs += 1
+            if k + 2 * m != sorting_length:
+                bad += 1
+    return bad == 0, f"runs={pairs} violations={bad} sorting-length={sorting_length}"
+
+
+def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
+    lengths = mask_lengths(analysis.cds_length_mask(entries, ctx.memo, ctx.tracker))
+    return len(lengths) == 1, "lengths=" + ",".join(map(str, lengths))
