@@ -4,22 +4,14 @@ cdr-sortability is decided in polynomial time from the overlap graph: play
 greedy-safe moves to a total terminal and replay them as cdr moves (see
 cdr_sortable_search for why this is exact).  Every sorting run has one
 length, so the sorting lengths are the length of that witness.  The
-exhaustive searches over the move graphs stay as the oracle, in two forms.
-walk, an iterative pre-order walk, backs the queries that only need which
-fixed points are reachable and at what depth: cdr fixed points and cds fixed
-points.  fold, a memoized recursion, backs maximal_sequence_lengths,
-criterion_discrepancies, the property sweeps, and the tests that check the
-fast decision against it.  The queries that ask only about the identity
-(criterion_discrepancies and the same-length sweep) use the identity fold
-of sorting_length_mask, one int per state.  Every exhaustive cdr search
-runs on the states of ops.cdr_states: one byte per entry up to n = 127,
-whose hash is cached and whose slices are memcpy, and the entries tuple
-from n = 128 on, whose children are the single cdr step at each applicable
-pointer.  Each one encodes its input once, at the boundary, and decodes
-only the fixed points it reads, so the sweeps, which share one fold memo
-across their inputs, still see fixed points as entries tuples; only the
-memo's keys are states.  Every maximal cds run has one length, so
-cds_maximal_lengths reads the greedy run.  The overlap-graph
+exhaustive searches over the move graphs stay as the oracle, in two forms:
+walk, an iterative pre-order walk, for the queries that need only which
+fixed points are reachable and at what depth, and fold, a memoized
+recursion, for the others.  Each runs on the states that ops.cdr_states or
+ops.cds_states hands it, so none reads a state's layout: it encodes its
+input once, at the boundary, and decodes only the fixed points it reads.
+Every maximal cds run has one length, so cds_maximal_lengths reads the
+greedy run.  The overlap-graph
 criterion ("no unoriented component") is exposed separately: it is silent
 about isolated unoriented vertices whose arc is not an adjacency -- [2, 1]
 has no component at all, no applicable move, and is not the identity -- so
@@ -110,24 +102,9 @@ def fold(state, memo: dict, tracker: Tracker, children, leaf, combine):
     first, one interpreter frame per move, so a run longer than the
     interpreter's recursion limit allows ends in RecursionError.  Each state
     is looked up in ``memo`` once: a child found there is read without a
-    call, so no result may be None.
-
-    Its users are the queries that need more than which states are reachable
-    and at what depth: maximal_sequence_lengths (run counts),
-    criterion_discrepancies and the same-length sweep (the identity fold of
-    sorting_length_mask), and the parity, rescue and steps sweeps in sample
-    mode, and cds-same-length; the sweeps and criterion_discrepancies share
-    one memo across their inputs.  The others use walk.  The cdr users fold
-    over the states of ops.cdr_states: they encode the input once, and a
-    leaf that reads a fixed point decodes it first, so no leaf reads a
-    state's layout and no result holds a state.  The exhaustive parity and
-    same-length sweeps fold here over canonical states instead, one per
-    orbit of ops.CdrOrbits, with a children kernel that yields each child's
-    canonical state: their masks are the same on every state of an orbit.
-    The exhaustive rescue and steps sweeps fold fixed-point tables over
-    canonical states in verify, where each child's table is mapped back by
-    the map that canonicalised it.  cds_length_mask folds over entries
-    tuples.
+    call, so no result may be None.  A leaf that reads a fixed point
+    decodes it first, so no leaf reads a state's layout and no result holds
+    a state.
     """
     res = memo.get(state)
     if res is None:
@@ -195,31 +172,13 @@ def _extend_lengths(results: list) -> int:
     return reduce(or_, results) << 1
 
 
-def _extend_fixed_points(results: list) -> dict:
-    acc: dict = {}
-    for res in results:
-        for fp, mask in res.items():
-            acc[fp] = acc.get(fp, 0) | mask << 1
-    return acc
-
-
-def fixed_point_masks(entries: Entries, memo: dict, tracker: Tracker) -> dict:
-    """fixed point -> length mask of all cdr runs from ``entries`` ending
-    there.  Every maximal run ends at some fixed point, so this covers every
-    run without enumerating paths.  The fold runs on the states of
-    ops.cdr_states, so ``memo`` is keyed by them, and a fixed point is
-    decoded once, at its leaf: the result is keyed by entries tuples."""
-    root, children, decode = ops.cdr_states(entries)
-    return fold(root, memo, tracker, children, lambda fp: {decode(fp): 1},
-                _extend_fixed_points)
-
-
 def maximal_length_mask(entries: Entries, memo: dict, tracker: Tracker,
                         states=ops.cdr_states) -> int:
-    """Length mask of all maximal cdr runs from ``entries``, folded over the
-    states of ``states``: ops.cdr_states, or in an exhaustive sweep the
-    canonical states of ops.CdrOrbits.states, since the mask is the same on
-    every state of an orbit."""
+    """Length mask of all maximal runs from ``entries``, folded over the
+    states of ``states``: ops.cdr_states for cdr runs, ops.cds_states for cds
+    runs, or in an exhaustive cdr sweep the canonical states of
+    ops.CdrOrbits.states, since the mask is the same on every state of an
+    orbit."""
     root, children, _ = states(entries)
     return fold(root, memo, tracker, children, lambda _: 1, _extend_lengths)
 
@@ -228,20 +187,15 @@ def sorting_length_mask(entries: Entries, memo: dict, tracker: Tracker,
                         states=ops.cdr_states) -> int:
     """Length mask of the cdr runs from ``entries`` to the identity, 0 when
     none reaches it: maximal_length_mask's fold with a leaf of 1 at the
-    identity and 0 at every other fixed point, which it decodes to tell.  On
-    ops.cdr_states it visits the states of fixed_point_masks in the same
-    order and keeps one int per state.  An exhaustive sweep passes the
-    canonical states of ops.CdrOrbits.states under the identity and CNR
-    alone: CNR fixes the identity, so the mask is the same on both states of
-    an orbit, and a canonical fixed point is the identity only if it is."""
+    identity and 0 at every other fixed point, which it decodes to tell.  It
+    visits the same states in the same order, and keeps one int per state.
+    An exhaustive sweep passes the canonical states of ops.CdrOrbits.states
+    under the identity and CNR alone: CNR fixes the identity, so the mask is
+    the same on both states of an orbit, and a canonical fixed point is the
+    identity only if it is."""
     root, children, decode = states(entries)
     return fold(root, memo, tracker, children, lambda fp: int(is_identity(decode(fp))),
                 _extend_lengths)
-
-
-def cds_length_mask(entries: Entries, memo: dict, tracker: Tracker) -> int:
-    """Length mask of all maximal cds runs from ``entries``."""
-    return fold(entries, memo, tracker, ops._cds_children, lambda _: 1, _extend_lengths)
 
 
 def mask_lengths(mask: int) -> tuple[int, ...]:
@@ -292,7 +246,7 @@ def _sorting_witness(entries: Entries, tracker: Tracker) -> tuple[int, ...] | No
     witness = graphmod.labels_at(g, _safe_ranks(g, tracker.spend))
     end = entries
     for i in witness:
-        end = ops._apply_cdr(end, i)
+        end = ops.cdr_step(end, i)
     return witness if is_identity(end) else None
 
 
@@ -696,6 +650,7 @@ def cds_maximal_lengths(p, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
 
 def cds_reachable_fixed_points(p, budget: int = DEFAULT_BUDGET) -> frozenset[SignedPermutation]:
     """All cds fixed points reachable from p by any cds move sequence."""
+    root, children, decode = ops.cds_states(as_entries(p))
     leaves: dict = {}
-    walk(as_entries(p), Tracker(budget), ops._cds_children, leaves)
-    return frozenset(map(SignedPermutation._of, leaves))
+    walk(root, Tracker(budget), children, leaves)
+    return frozenset(SignedPermutation._of(decode(fp)) for fp in leaves)

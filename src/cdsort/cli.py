@@ -243,8 +243,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, NotApplicableError, RecursionError, MemoryError,
             analysis.BudgetExceededError, analysis.TheoremViolationError) as exc:
-        # verify's sweeps run analysis.fold, which recurses once per move of
-        # a run; no other command recurses per move.  MemoryError is a last
+        # verify's sweeps recurse once per move of a run: rescue and steps
+        # in verify's fixed-point fold, parity, same-length and
+        # cds-same-length in analysis.fold; no other command recurses per
+        # move.  MemoryError is a last
         # resort, raised when an allocation fails, as under `ulimit -v`; a
         # process the kernel kills for want of memory cannot catch anything.
         # Its str() is empty.

@@ -17,26 +17,31 @@ Both operations raise NotApplicableError when their context is absent; the
 try_apply_* wrappers instead return the input unchanged plus a flag, for
 simulation loops where silent no-ops are wanted.  Applying a no-op silently by
 default would corrupt step counting, so it is never the default.  The
-strict step (_apply_cdr, _apply_cds) states each applicability rule;
-cdr_applicable and cds_applicable ask it, while the kernels _cdr_moves,
+strict step (cdr_step, _apply_cds) states each applicability rule;
+cdr_applicable and cds_applicable ask it, while the kernels cdr_moves,
 _cdr_children_bytes and _cds_pairs restate the rules for speed.
 
-Module-level helpers prefixed with an underscore work on raw entries tuples
-and skip validation; they are the kernels the search and sweep code runs on.
-greedy_cds_run is one too, public because analysis and verify run it, so
-that only this module reads the cds arc table.  cdr_states is another: it
-hands an exhaustive cdr search its states and their children kernel, so
-that only this module reads the state layout.  Up to n = 127 a state is
+The kernels work on raw entries tuples and skip validation; the search and
+sweep code runs on them.  Those that other modules run are public, so that
+only this module reads the cds arc table and the state layout:
+
+- cdr_moves (the applicable pointers) and cdr_step (cdr at one of them);
+- greedy_cds_run, the greedy cds run;
+- cdr_states and cds_states, which hand an exhaustive search over the cdr or
+  cds move graph its states and their children kernel.
+
+The others are prefixed with an underscore.  Up to n = 127 a cdr state is
 bytes and _cdr_children_bytes, the one one-pass kernel for all of a state's
 cdr children, gives them, reading each magnitude's index from one translate
 table; from n = 128 on a state is the entries tuple and _cdr_children gives
-them as the single step, _apply_cdr at each pointer _cdr_moves lists.  A
-public operation wraps a kernel's result with SignedPermutation._of, which
-does not validate it again.  Every trace, by contrast, takes the strict
-public step: _apply_move applies one ("cdr", i) or ("cds", (i, j)) move with
-full checks.  CdrOrbits, also on bytes states, holds the maps R and CN that
-commute with cdr, and the canonical states and children kernels of an
-exhaustive sweep that folds one state per orbit of them.
+them as the single step, cdr_step at each pointer cdr_moves lists.  A cds
+state is the entries tuple, with _cds_children.  A public operation wraps a
+kernel's result with SignedPermutation._of, which does not validate it
+again.  Every trace, by contrast, takes the strict public step: _apply_move
+applies one ("cdr", i) or ("cds", (i, j)) move with full checks.  CdrOrbits,
+also on bytes states, holds the maps R and CN that commute with cdr, and the
+canonical states and children kernels of an exhaustive sweep that folds one
+state per orbit of them.
 """
 from __future__ import annotations
 
@@ -63,14 +68,15 @@ def _check_pointer(n: int, i: int) -> None:
 # kernels on raw entries tuples
 
 
-def _cdr_moves(entries: Sequence[int]) -> list[int]:
+def cdr_moves(entries: Sequence[int]) -> list[int]:
+    """The pointers at which cdr applies, in increasing order."""
     sign = [False] * (len(entries) + 1)  # by absolute value: positive?
     for v in entries:
         sign[abs(v)] = v > 0
     return [i for i in range(1, len(entries)) if sign[i] != sign[i + 1]]
 
 
-def _apply_cdr(entries: Entries, i: int) -> Entries:
+def cdr_step(entries: Entries, i: int) -> Entries:
     """Apply cdr at pointer i; assumes i is in range.
 
     Pointer i applies when the entries of values i and i+1 differ in sign,
@@ -101,7 +107,7 @@ def _apply_cdr(entries: Entries, i: int) -> Entries:
 def _cdr_children(entries: Entries) -> Iterator[Entries]:
     """The result of cdr at each applicable pointer, in increasing pointer
     order, one at a time: the entries-tuple kernel of cdr_states."""
-    return (_apply_cdr(entries, i) for i in _cdr_moves(entries))
+    return (cdr_step(entries, i) for i in cdr_moves(entries))
 
 
 # cdr_states gives states of n <= 127 entries as bytes, one byte per entry:
@@ -210,7 +216,7 @@ def _cdr_children_bytes(state: bytes) -> Iterator[bytes]:
     The index of each magnitude i is at[i], one translate table built in C
     by bytes.maketrans from the state's magnitudes to its indices.  Pointer
     i applies when the entries of values i and i+1 differ in sign,
-    (lo ^ hi) & 0x80, and each cut is index + (lo > 0), as in _apply_cdr.
+    (lo ^ hi) & 0x80, and each cut is index + (lo > 0), as in cdr_step.
     At the first applicable pointer one translate negates the reversed
     state, so a fixed point builds nothing more; each child is then three
     slices, because the block a cdr reverses and negates is a slice of that
@@ -315,6 +321,13 @@ def _cds_children(entries: Entries) -> Iterator[Entries]:
         yield _swap(entries, arcs[p - 1], arcs[q - 1])
 
 
+def cds_states(entries: Entries):
+    """(root, children, decode) for an exhaustive search over the cds move
+    graph of ``entries``, as cdr_states gives for cdr: the entries tuples
+    and the kernel giving a state's children in canonical move order."""
+    return entries, _cds_children, tuple
+
+
 def greedy_cds_run(entries: Entries, spend=lambda: None) -> tuple[Entries, int, list]:
     """Apply the first applicable cds (canonical order) until none remains.
     Returns (end state, step count, moves taken); calls spend() once per
@@ -354,7 +367,7 @@ def apply_cdr(p, i: int) -> SignedPermutation:
     """
     entries = as_entries(p)
     _check_pointer(len(entries), i)
-    return SignedPermutation._of(_apply_cdr(entries, i))
+    return SignedPermutation._of(cdr_step(entries, i))
 
 
 def try_apply_cdr(p, i: int) -> tuple[SignedPermutation, bool]:
@@ -403,7 +416,7 @@ def try_apply_cds(p, i: int, j: int) -> tuple[SignedPermutation, bool]:
 
 def applicable_cdr_moves(p) -> tuple[CdrMove, ...]:
     """All pointers at which cdr applies, in increasing order."""
-    return tuple(_cdr_moves(as_entries(p)))
+    return tuple(cdr_moves(as_entries(p)))
 
 
 def applicable_cds_moves(p) -> tuple[CdsMove, ...]:
@@ -413,7 +426,7 @@ def applicable_cds_moves(p) -> tuple[CdsMove, ...]:
 
 
 def is_cdr_fixed_point(p) -> bool:
-    return not _cdr_moves(as_entries(p))
+    return not cdr_moves(as_entries(p))
 
 
 def is_cds_fixed_point(p) -> bool:

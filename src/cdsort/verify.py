@@ -17,8 +17,9 @@ per orbit of the symmetries of the cdr move graph (ops.CdrOrbits), the least
 of its images, and spend one unit of the budget per canonical state: their
 records are the plain fold's, in about a quarter of the states (half for
 same-length, whose group is the identity and CNR, the maps that fix the
-identity).  Sample mode, tuple states (n >= 128) and commutation fold
-plainly.
+identity).  Sample mode, tuple states (n >= 128), cds-same-length and
+commutation fold plainly, one state per signed permutation; rescue and steps
+run the same fixed-point fold there, over the group of the identity alone.
 
 Properties:
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable
 
 from . import analysis, ops
@@ -95,11 +97,13 @@ class _SweepContext:
     which folds one way.
 
     The exhaustive parity, same-length, rescue and steps sweeps fold over the
-    canonical states of ``orbits``, spending one unit per canonical state;
-    their records are those of the plain fold, which sample mode, tuple
-    states (n >= 128) and the other properties keep.  ``targets[k]`` is the
-    identity as a fixed-point table keys it, taken by the k-th map: a state
-    there, the entries otherwise.  The commutation sweep folds nothing: it
+    canonical states of ``group``, an ops.CdrOrbits, spending one unit per
+    canonical state; their records are those of the plain fold.  The other
+    sweeps fold plainly, on the states of ops.cdr_states (or of
+    ops.cds_states, for cds-same-length), and rescue and steps there fold
+    over ``group`` as the group of the identity alone, _OneMap, where each
+    state is its own orbit.  ``targets[k]`` is the identity's state, taken
+    by the k-th map of ``group``.  The commutation sweep folds nothing: it
     spends one unit per overlap-graph position it builds and, exhaustive,
     keeps each state's in the memo."""
 
@@ -109,21 +113,20 @@ class _SweepContext:
         self.verdicts: dict = {}
         self.exhaustive = exhaustive
         self.identity = identity_entries(n)
-        self.orbits = None
-        self.states = ops.cdr_states
-        maps, target, decode = (_same,), self.identity, _same
+        target, kernel, decode = ops.cdr_states(self.identity)
         if exhaustive and prop in _ORBITS and n <= 127:  # bytes states
-            self.orbits = ops.CdrOrbits(n, cnr_only=_ORBITS[prop])
-            self.states = self.orbits.states
-            maps = self.orbits.maps
-            target, _, decode = ops.cdr_states(self.identity)
+            self.group = ops.CdrOrbits(n, cnr_only=_ORBITS[prop])
+            self.states = self.group.states
+        else:
+            self.group = _OneMap(kernel)
+            self.states = ops.cdr_states
+        maps = self.group.maps
         self.targets = tuple(image(target) for image in maps)
 
         @functools.cache
         def cds_finish(fp):
-            """Per map k: (the entries of the k-th image of a fixed point as
-            its table keys it, greedy cds's end state from there, and its
-            step count)."""
+            """Per map k: (the entries of the k-th image of a fixed point's
+            state, greedy cds's end state from there, and its step count)."""
             finish = []
             for image in maps:
                 entries = decode(image(fp))
@@ -143,18 +146,14 @@ class _SweepContext:
 
     def fixed_points(self, entries: Entries) -> tuple[dict, int]:
         """(table, k): fixed point -> length mask of the cdr runs ending
-        there, and the index of the map taking the table's keys to the
-        input's: targets[k] is the identity and cds_finish(fp)[k] reads the
-        fixed point, in the table's keys.  On orbits the table is the
-        canonical state's, keyed by states, and k names the map that
-        canonicalised the input (each map is its own inverse).  Otherwise it
-        is fixed_point_masks', and k is 0, the identity."""
-        if self.orbits is None:
-            return analysis.fixed_point_masks(entries, self.memo, self.tracker), 0
-        state, k = self.orbits.locate(ops.cdr_states(entries)[0])
+        there, for the orbit of the input's state, and the index of the map
+        that took the input's state to that orbit's (each map is its own
+        inverse).  The table is keyed by states: targets[k] is the identity
+        and cds_finish(fp)[k] reads the fixed point, in the table's keys."""
+        state, k = self.group.locate(ops.cdr_states(entries)[0])
         table = self.memo.get(state)
         if table is None:
-            table = _fixed_point_states(state, self.memo, self.tracker.spend, self.orbits)
+            table = _fixed_point_states(state, self.memo, self.tracker.spend, self.group)
         return table, k
 
     def overlap_masks(self, state, decode):
@@ -177,23 +176,45 @@ def _same(x):
     return x
 
 
-def _fixed_point_states(state, memo: dict, spend, orbits: ops.CdrOrbits) -> dict:
-    """analysis.fixed_point_masks' fold at a canonical state not in ``memo``,
-    over the canonical states of ``orbits``: each holds its fixed points, as
-    states, with their length masks.  A child's table is its canonical
-    state's taken back by the map that canonicalised the child, so nothing
-    is decoded here.  One interpreter frame per move, as analysis.fold."""
+class _OneMap:
+    """The group of the identity alone on the states of a cdr children
+    kernel, shaped as ops.CdrOrbits for _fixed_point_states: each state is
+    its own orbit, and every child is reached by map 0."""
+
+    maps = (_same,)
+
+    def __init__(self, kernel):
+        self.edges = lambda state: zip(kernel(state), repeat(0))
+
+    @staticmethod
+    def locate(state):
+        return state, 0
+
+
+def _fixed_point_states(state, memo: dict, spend, group) -> dict:
+    """The fixed-point fold at a state not in ``memo``, over the orbits of
+    ``group`` (ops.CdrOrbits or _OneMap): each orbit's state holds its fixed
+    points, as states, with the length masks of the cdr runs ending there.
+    Every maximal run ends at some fixed point, so this covers every run
+    without enumerating paths.  A child's table is its orbit's taken back by
+    the map that took the child there, so nothing is decoded here.  Each
+    state spends one unit, and is folded, in the order and with the frames
+    of analysis.fold."""
     spend()
     table: dict = {}
-    maps = orbits.maps
-    for child, k in orbits.edges(state):
+    maps = group.maps
+    for child, k in group.edges(state):
         res = memo.get(child)
         if res is None:
-            res = _fixed_point_states(child, memo, spend, orbits)
-        image = maps[k]
-        for fp, mask in res.items():
-            fp = image(fp)
-            table[fp] = table.get(fp, 0) | mask << 1
+            res = _fixed_point_states(child, memo, spend, group)
+        if k:
+            image = maps[k]
+            for fp, mask in res.items():
+                fp = image(fp)
+                table[fp] = table.get(fp, 0) | mask << 1
+        else:  # map 0, the identity, on every edge of _OneMap: no call per entry
+            for fp, mask in res.items():
+                table[fp] = table.get(fp, 0) | mask << 1
     table = memo[state] = table or {state: 1}
     return table
 
@@ -263,11 +284,12 @@ def _cds_same_length(mask: int) -> tuple[bool, str]:
 
 
 def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    return ctx.verdict(_cds_same_length, analysis.cds_length_mask(entries, ctx.memo, ctx.tracker))
+    return ctx.verdict(_cds_same_length, analysis.maximal_length_mask(
+        entries, ctx.memo, ctx.tracker, ops.cds_states))
 
 
 def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    moves = ops._cdr_moves(entries)
+    moves = ops.cdr_moves(entries)
     # the children of the kernel the exhaustive searches run at this n
     root, kernel, decode = ops.cdr_states(entries)
     rows, ori = ctx.overlap_masks(root, decode)

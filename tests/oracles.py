@@ -5,15 +5,15 @@ package: they enumerate entire move trees path by path, so they stay
 trustworthy as a cross-check even if the production search logic changes.
 The cds move tree and the overlap graph are read off perm.pointer_occurrences
 pointer by pointer, not from the ops kernels they check.  The cdr move tree
-reads ops._cdr_moves and ops._apply_cdr, which test_kernels.check_kernels
+reads ops.cdr_moves and ops.cdr_step, which test_kernels.check_kernels
 ties to the same occurrence oracle.  Only usable at toy sizes.
 
 The fold section keeps the memoized fold's answers to the queries now served
 by analysis.walk, budget behaviour included, as the reference for the walk.
 It stays the fold as before: over entries tuples with ops._cdr_children, not
 over the states of ops.cdr_states, because its incomplete listing reads the
-memo's keys as entries.  ops._cdr_children is the single step, _apply_cdr
-at each pointer _cdr_moves lists, so this reference shares no code with the
+memo's keys as entries.  ops._cdr_children is the single step, cdr_step
+at each pointer cdr_moves lists, so this reference shares no code with the
 bytes kernel the walk runs below n = 128.
 The last five sections keep earlier versions verbatim as the reference for
 their rewrites:
@@ -25,6 +25,8 @@ their rewrites:
 - extend_to_total_by_sizes: the total extension, with the recursive
   insertion search it ran on;
 - fold_by_comprehension: the fold;
+- fixed_point_masks: the fixed-point tables on analysis.fold, keyed by
+  entries tuples, the reference for verify's fixed-point fold;
 - maximal_sequence_lengths_by_dicts: the run counts as one dict per state
   (it folds over ops._cdr_children, the single step, so below n = 128 it
   checks the bytes kernel as well as the count packing);
@@ -36,7 +38,8 @@ their rewrites:
   of the rows per candidate move;
 - plain_sweep_records and the _check_* functions: the property checks of
   the exhaustive sweeps on the plain fold, one state per signed permutation,
-  with each record's detail built per input.
+  with each record's detail built per input (the cds check folds
+  maximal_length_mask on ops.cds_states, which replaced cds_length_mask).
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ from cdsort.analysis import (
     TheoremViolationError,
     Tracker,
     classify_sequence,
+    fold,
     mask_lengths,
 )
 from cdsort.graph import (
@@ -68,7 +72,7 @@ from cdsort.graph import (
     gf2_rank,
     overlap_masks,
 )
-from cdsort.ops import _apply_cdr, _cdr_moves
+from cdsort.ops import cdr_moves, cdr_step
 from cdsort.perm import (
     Entries,
     SignedPermutation,
@@ -163,12 +167,12 @@ def cds_moves_by_occurrences(entries):
 
 def all_maximal_cdr_runs(entries):
     """Every maximal cdr move sequence, as (moves tuple, final entries)."""
-    moves = _cdr_moves(entries)
+    moves = cdr_moves(entries)
     if not moves:
         yield (), entries
         return
     for i in moves:
-        for rest, final in all_maximal_cdr_runs(_apply_cdr(entries, i)):
+        for rest, final in all_maximal_cdr_runs(cdr_step(entries, i)):
             yield (i,) + rest, final
 
 
@@ -184,7 +188,7 @@ def all_maximal_cds_runs(entries):
 
 def cdr_children(entries):
     """The states one cdr move away, in increasing pointer order."""
-    return [_apply_cdr(entries, i) for i in _cdr_moves(entries)]
+    return [cdr_step(entries, i) for i in cdr_moves(entries)]
 
 
 def cds_children(entries):
@@ -211,8 +215,8 @@ def parity_by_playout(entries):
     """Parity ("even"/"odd") of the length of the maximal cdr run that always
     takes the lowest applicable pointer."""
     length = 0
-    while moves := _cdr_moves(entries):
-        entries = _apply_cdr(entries, moves[0])
+    while moves := cdr_moves(entries):
+        entries = cdr_step(entries, moves[0])
         length += 1
     return "odd" if length % 2 else "even"
 
@@ -225,6 +229,31 @@ def cdr_sorting_run_lengths(entries):
 
 def cdr_run_lengths_to(entries, target):
     return {len(run) for run, final in all_maximal_cdr_runs(entries) if final == target}
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point tables on analysis.fold, as the plain rescue and steps
+# sweeps folded them before every sweep ran verify's fixed-point fold: the
+# reference for that fold, and the tables the plain checks below read
+
+
+def _extend_fixed_points(results: list) -> dict:
+    acc: dict = {}
+    for res in results:
+        for fp, mask in res.items():
+            acc[fp] = acc.get(fp, 0) | mask << 1
+    return acc
+
+
+def fixed_point_masks(entries: Entries, memo: dict, tracker: Tracker) -> dict:
+    """fixed point -> length mask of all cdr runs from ``entries`` ending
+    there.  Every maximal run ends at some fixed point, so this covers every
+    run without enumerating paths.  The fold runs on the states of
+    ops.cdr_states, so ``memo`` is keyed by them, and a fixed point is
+    decoded once, at its leaf: the result is keyed by entries tuples."""
+    root, children, decode = ops.cdr_states(entries)
+    return fold(root, memo, tracker, children, lambda fp: {decode(fp): 1},
+                _extend_fixed_points)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +270,7 @@ def fold_fixed_points(entries, budget=analysis.DEFAULT_BUDGET):
     memo = {}
     try:
         fps = analysis.fold(entries, memo, Tracker(budget), ops._cdr_children,
-                            lambda fp: {fp: 1}, analysis._extend_fixed_points)
+                            lambda fp: {fp: 1}, _extend_fixed_points)
     except analysis.BudgetExceededError:
         rank = gf2_rank(*overlap_masks(entries))
         return analysis.FixedPointEnumeration(
@@ -681,7 +710,7 @@ def _check_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]
 
 def _check_rescue(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     target = identity_entries(len(entries))
-    fps = analysis.fixed_point_masks(entries, ctx.memo, ctx.tracker)
+    fps = fixed_point_masks(entries, ctx.memo, ctx.tracker)
     if target not in fps:
         return True, "not-cdr-sortable"
     bad = 0
@@ -694,7 +723,7 @@ def _check_rescue(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
 
 def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     target = identity_entries(len(entries))
-    fps = analysis.fixed_point_masks(entries, ctx.memo, ctx.tracker)
+    fps = fixed_point_masks(entries, ctx.memo, ctx.tracker)
     if target not in fps:
         return True, "not-cdr-sortable"
     sort_lengths = mask_lengths(fps[target])
@@ -718,5 +747,6 @@ def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
 
 
 def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
-    lengths = mask_lengths(analysis.cds_length_mask(entries, ctx.memo, ctx.tracker))
+    lengths = mask_lengths(analysis.maximal_length_mask(entries, ctx.memo, ctx.tracker,
+                                                        ops.cds_states))
     return len(lengths) == 1, "lengths=" + ",".join(map(str, lengths))

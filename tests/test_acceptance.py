@@ -19,7 +19,7 @@ from cdsort.graph import (
     local_complement,
     random_oriented_graph,
 )
-from cdsort.ops import SortTrace, apply_cdr, apply_cds, _apply_cdr, _cdr_moves
+from cdsort.ops import SortTrace, apply_cdr, apply_cds, cdr_moves, cdr_step
 from cdsort.perm import all_signed_permutations, fixtures, random_signed_permutation, sigma, tau
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -130,8 +130,8 @@ def test_criterion_6_commutation():
     for _ in range(10_000):
         entries = random_signed_permutation(rng, rng.randint(2, 10))
         g = build_overlap_graph(entries)
-        for i in _cdr_moves(entries):
-            assert build_overlap_graph(_apply_cdr(entries, i)) == gcdr(g, i)
+        for i in cdr_moves(entries):
+            assert build_overlap_graph(cdr_step(entries, i)) == gcdr(g, i)
             checked += 1
     assert checked > 10_000
 

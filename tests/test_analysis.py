@@ -20,7 +20,6 @@ from cdsort.analysis import (
     criterion_discrepancies,
     enumerate_cdr_fixed_points,
     extend_to_total,
-    fixed_point_masks,
     greedy_cds_trace,
     greedy_safe_total_sequence,
     indiscriminate_cdr_trace,
@@ -48,6 +47,7 @@ from oracles import (
     cdr_run_lengths_to,
     cdr_sorting_run_lengths,
     extend_to_total_by_sizes,
+    fixed_point_masks,
 )
 
 U1 = fixtures()["u_pisces_1"]
@@ -265,13 +265,13 @@ def test_indiscriminate_run_random_policy_is_seeded():
 
 def test_indiscriminate_run_applies_each_move_once(monkeypatch):
     calls = []
-    kernel = ops._apply_cdr
+    kernel = ops.cdr_step
 
     def counted(entries, i):
         calls.append(i)
         return kernel(entries, i)
 
-    monkeypatch.setattr(ops, "_apply_cdr", counted)
+    monkeypatch.setattr(ops, "cdr_step", counted)
     trace = indiscriminate_cdr_trace(U1)
     assert len(trace.steps) == 12
     assert calls == [step.move for step in trace.steps]
@@ -615,12 +615,12 @@ def test_budget_errors_are_loud():
 
 
 def test_cds_same_length_exhaustive_n6():
-    from cdsort.analysis import Tracker, cds_length_mask, mask_lengths
+    from cdsort.analysis import Tracker, mask_lengths, maximal_length_mask
 
     memo: dict = {}
     tracker = Tracker(10_000_000)
     for entries in all_signed_permutations(6):
-        lengths = mask_lengths(cds_length_mask(entries, memo, tracker))
+        lengths = mask_lengths(maximal_length_mask(entries, memo, tracker, ops.cds_states))
         assert len(lengths) == 1
         # so cds_maximal_lengths may answer from the greedy run
         assert cds_maximal_lengths(entries) == frozenset(lengths)

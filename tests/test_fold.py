@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdsort import analysis, ops
+from cdsort import analysis, ops, verify
 from cdsort.analysis import (
     BudgetExceededError,
     Tracker,
@@ -43,6 +43,7 @@ from cdsort.perm import (
 )
 
 from oracles import (
+    _extend_fixed_points,
     all_maximal_cdr_runs,
     all_maximal_cds_runs,
     cdr_children,
@@ -55,6 +56,18 @@ from oracles import (
     reachable_states,
     signed_perms,
 )
+
+
+def sweep_fixed_points(entries, memo: dict, tracker: Tracker) -> dict:
+    """The fixed-point table of a sample-mode rescue or steps sweep, on
+    ``memo`` and ``tracker``: verify's fixed-point fold over the group of
+    the identity alone, with the table's keys decoded to entries."""
+    ctx = verify._SweepContext("rescue", len(entries), 0, exhaustive=False)
+    ctx.memo, ctx.tracker = memo, tracker
+    table, k = ctx.fixed_points(entries)
+    assert k == 0
+    decode = ops.cdr_states(entries)[2]
+    return {decode(fp): mask for fp, mask in table.items()}
 
 
 def test_every_fold_target_matches_brute_force_runs():
@@ -74,7 +87,7 @@ def test_every_fold_target_matches_brute_force_runs():
             assert maximal_sequence_lengths(entries) == Counter(len(run) for run, _ in runs)
             assert cdr_sorting_lengths(entries) == frozenset(cdr_sorting_run_lengths(entries))
             # the sweeps' entry points, on memo tables shared across inputs
-            shared = analysis.fixed_point_masks(entries, fp_memo, tracker)
+            shared = sweep_fixed_points(entries, fp_memo, tracker)
             assert {SignedPermutation(fp): analysis.mask_lengths(mask)
                     for fp, mask in shared.items()} == enum.by_fixed_point
             assert analysis.mask_lengths(
@@ -147,8 +160,12 @@ def test_cdr_states_are_bytes_up_to_127_entries(n, state):
     assert enum.complete
     assert enum.by_fixed_point == {SignedPermutation(identity_entries(n)): (1,)}
     assert maximal_sequence_lengths(entries) == Counter({1: 1})
-    # the sweeps' entry points: the memo holds states, the result entries
-    for query, expected in ((analysis.fixed_point_masks, {identity_entries(n): 0b10}),
+    # the sweeps' entry points: the memo holds states, the result entries;
+    # the fixed-point fold's tables hold states too, so that n = 128 folds
+    # tuple states over the group of the identity alone, exhaustive or not
+    assert type(verify._SweepContext("rescue", n, 1, exhaustive=True).group) is (
+        ops.CdrOrbits if state is bytes else verify._OneMap)
+    for query, expected in ((sweep_fixed_points, {identity_entries(n): 0b10}),
                             (analysis.maximal_length_mask, 0b10),
                             (analysis.sorting_length_mask, 0b10)):
         memo: dict = {}
@@ -156,12 +173,15 @@ def test_cdr_states_are_bytes_up_to_127_entries(n, state):
         assert query(entries, memo, tracker) == expected
         assert tracker.remaining == 0
         assert [type(key) for key in memo] == [state, state]
+        tables = [res for res in memo.values() if isinstance(res, dict)]
+        assert all(type(fp) is state for table in tables for fp in table)
 
 
 def _cds_fold_lengths(entries) -> frozenset:
     """The maximal cds run lengths by the fold over the cds move graph."""
     return frozenset(analysis.mask_lengths(
-        analysis.cds_length_mask(entries, {}, Tracker(analysis.DEFAULT_BUDGET))))
+        analysis.maximal_length_mask(entries, {}, Tracker(analysis.DEFAULT_BUDGET),
+                                     ops.cds_states)))
 
 
 @given(signed_perms(1, 10))
@@ -194,12 +214,12 @@ def test_sorting_lengths_spend_one_unit_per_witness_position():
 def expanded(monkeypatch):
     """The states expanded, as entries: each call of a cdr kernel that walk
     and fold can run, in order, a bytes state decoded.  _cdr_children calls
-    _cdr_moves once per state, so counting both would count it twice.  The
+    cdr_moves once per state, so counting both would count it twice.  The
     test fails when no call was counted at all, so a kernel missing here
     cannot pass unseen."""
     calls = []
     by_kernel = Counter()
-    for name, decode in (("_cdr_moves", None), ("_cdr_children_bytes", ops._decode)):
+    for name, decode in (("cdr_moves", None), ("_cdr_children_bytes", ops._decode)):
         kernel = getattr(ops, name)
 
         def counted(state, kernel=kernel, name=name, decode=decode):
@@ -243,7 +263,7 @@ def test_cdr_move_graph_is_graded():
     for n in range(1, 7):
         for entries in all_signed_permutations(n):
             rank = gf2_rank(*overlap_masks(entries))
-            fps = analysis.fixed_point_masks(entries, memo, tracker)
+            fps = sweep_fixed_points(entries, memo, tracker)
             for fp, mask in fps.items():
                 assert mask == 1 << rank - gf2_rank(*overlap_masks(fp)), (entries, fp)
             sorting = analysis.sorting_length_mask(entries, sorting_memo, sorting_tracker)
@@ -321,7 +341,7 @@ def test_run_counts_match_dict_fold_on_fixtures(name):
 
 
 FOLD_TARGETS = {
-    "fixed points": (ops._cdr_children, lambda fp: {fp: 1}, analysis._extend_fixed_points),
+    "fixed points": (ops._cdr_children, lambda fp: {fp: 1}, _extend_fixed_points),
     "cdr lengths": (ops._cdr_children, lambda _: 1, analysis._extend_lengths),
     "sorting lengths": (ops._cdr_children, lambda s: int(is_identity(s)), analysis._extend_lengths),
     "cds lengths": (ops._cds_children, lambda _: 1, analysis._extend_lengths),
@@ -371,22 +391,26 @@ def test_fold_matches_comprehension_fold_at_budget(entries, budget):
 
 
 # ---------------------------------------------------------------------------
-# the sweeps' entry points, which fold over the states of ops.cdr_states,
-# against analysis.fold over entries tuples on their FOLD_TARGETS entry
+# the sweeps' entry points, which fold over the states of ops.cdr_states or
+# ops.cds_states, against analysis.fold over entries tuples on their
+# FOLD_TARGETS entry: (entry point, the states it folds over)
 
 
 SWEEP_QUERIES = {
-    "fixed points": analysis.fixed_point_masks,
-    "cdr lengths": analysis.maximal_length_mask,
-    "sorting lengths": analysis.sorting_length_mask,
+    "fixed points": (sweep_fixed_points, ops.cdr_states),
+    "cdr lengths": (analysis.maximal_length_mask, ops.cdr_states),
+    "sorting lengths": (analysis.sorting_length_mask, ops.cdr_states),
+    "cds lengths": (lambda entries, memo, tracker: analysis.maximal_length_mask(
+        entries, memo, tracker, ops.cds_states), ops.cds_states),
 }
 
 
-def _decoded(memo: dict, entries) -> list:
-    """A memo's items in insertion order, its keys decoded as the states of
-    ops.cdr_states(entries)."""
-    decode = ops.cdr_states(entries)[2]
-    return [(decode(state), res) for state, res in memo.items()]
+def _decoded(memo: dict, states, entries) -> list:
+    """A memo's items in insertion order, decoded as the states of
+    states(entries): its keys, and a fixed-point table's keys."""
+    decode = states(entries)[2]
+    return [(decode(state), {decode(fp): mask for fp, mask in res.items()}
+             if isinstance(res, dict) else res) for state, res in memo.items()]
 
 
 def _check_result_keys(res) -> None:
@@ -399,7 +423,7 @@ def test_sweep_queries_match_tuple_fold_on_shared_memos(query):
     # input after input on one shared memo: the same result, the same budget
     # left, and as many memo items; with the same items in the same order at
     # the end, each input inserted the same states in the same order
-    entry_point = SWEEP_QUERIES[query]
+    entry_point, states = SWEEP_QUERIES[query]
     children, leaf, combine = FOLD_TARGETS[query]
     memo: dict = {}
     old_memo: dict = {}
@@ -413,14 +437,14 @@ def test_sweep_queries_match_tuple_fold_on_shared_memos(query):
             _check_result_keys(res)
             assert tracker.remaining == old_tracker.remaining, entries
             assert len(memo) == len(old_memo), entries
-    assert _decoded(memo, (1,)) == list(old_memo.items())
+    assert _decoded(memo, states, (1,)) == list(old_memo.items())
 
 
 @given(st.sampled_from(sorted(SWEEP_QUERIES)), signed_perms(7, 12), st.integers(1, 3_000))
 def test_sweep_queries_match_tuple_fold(query, entries, budget):
     # a cold memo, at a budget that may run out: the same outcome, the same
     # budget left, and the same memo items in the same order
-    entry_point = SWEEP_QUERIES[query]
+    entry_point, states = SWEEP_QUERIES[query]
     children, leaf, combine = FOLD_TARGETS[query]
     outcomes = []
     for run in (lambda memo, tracker: entry_point(entries, memo, tracker),
@@ -437,4 +461,4 @@ def test_sweep_queries_match_tuple_fold(query, entries, budget):
     (res, remaining, memo), (old, old_remaining, old_memo) = outcomes
     assert res == old
     assert remaining == old_remaining
-    assert _decoded(memo, entries) == list(old_memo.items())
+    assert _decoded(memo, states, entries) == list(old_memo.items())

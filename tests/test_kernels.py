@@ -6,7 +6,7 @@ cuts and entry signs.  Every kernel must agree with it: _arcs on the keys
 and homogeneity (ops keys are the 1-based occurrence keys minus 2, and a
 key's cut is (key + 1) >> 1), applicable_cds_moves, is_cds_fixed_point,
 _cds_children, _apply_cds and cds_applicable on which pairs apply and what
-they give, and _cdr_moves, _apply_cdr and _cdr_children on the same for cdr
+they give, and cdr_moves, cdr_step and _cdr_children on the same for cdr
 (_cdr_children lazily, as a generator).  Exhaustive for n <= 6, by
 hypothesis up to n = 60.  The kernel that ops.cdr_states hands out must
 give the same cdr children once decoded, also lazily: exhaustive for
@@ -57,12 +57,12 @@ def check_kernels(entries):
         assert applied(ops._apply_cds, entries, p, q) == cds.get((p, q))
 
     cdr = dict(cdr_moves_by_occurrences(entries))
-    assert ops._cdr_moves(entries) == list(cdr)
+    assert ops.cdr_moves(entries) == list(cdr)
     children = ops._cdr_children(entries)
     assert inspect.isgenerator(children)
     assert list(children) == list(cdr.values())
     for i in range(1, len(entries)):
-        assert applied(ops._apply_cdr, entries, i) == cdr.get(i)
+        assert applied(ops.cdr_step, entries, i) == cdr.get(i)
     check_cdr_states(entries, list(cdr.values()))
 
 

@@ -24,7 +24,7 @@ from cdsort.perm import (
     reverse_identity_entries,
 )
 
-from oracles import DEEP, signed_perms
+from oracles import DEEP, fixed_point_masks, signed_perms
 
 
 def other_strand(entries):
@@ -33,7 +33,7 @@ def other_strand(entries):
 
 def replay(entries, witness):
     for i in witness:
-        entries = ops._apply_cdr(entries, i)
+        entries = ops.cdr_step(entries, i)
     return entries
 
 
@@ -41,7 +41,7 @@ def dp_fixed_points(entries, memo, tracker):
     """The DP's table: fixed point -> frozenset of the lengths of the runs
     reaching it."""
     return {fp: frozenset(analysis.mask_lengths(mask))
-            for fp, mask in analysis.fixed_point_masks(entries, memo, tracker).items()}
+            for fp, mask in fixed_point_masks(entries, memo, tracker).items()}
 
 
 def check_against_oracle(entries, fixed_points):
@@ -68,10 +68,10 @@ def test_other_strand_keeps_moves_and_commutes_with_cdr_exhaustively():
     for n in range(1, 7):
         for entries in all_signed_permutations(n):
             strand = other_strand(entries)
-            moves = ops._cdr_moves(entries)
-            assert ops._cdr_moves(strand) == moves
+            moves = ops.cdr_moves(entries)
+            assert ops.cdr_moves(strand) == moves
             for i in moves:
-                assert ops._apply_cdr(strand, i) == other_strand(ops._apply_cdr(entries, i))
+                assert ops.cdr_step(strand, i) == other_strand(ops.cdr_step(entries, i))
 
 
 @pytest.mark.slow

@@ -49,6 +49,19 @@ def test_sampled_sweeps_are_reproducible():
     assert a.records != c.records
 
 
+@pytest.mark.parametrize("prop, n, inputs, boundary", [
+    # one unit per state of the plain folds: the fixed-point fold over the
+    # group of the identity alone, and the cds fold on ops.cds_states
+    ("rescue", 9, {"samples": 20, "seed": 5}, 1_722),
+    ("steps", 9, {"samples": 20, "seed": 5}, 1_722),
+    ("cds-same-length", 5, {"exhaustive": True}, 3_840),
+])
+def test_plain_sweeps_spend_one_unit_per_state(prop, n, inputs, boundary):
+    assert run_sweep(prop, n, budget=boundary, **inputs).failures == 0
+    with pytest.raises(BudgetExceededError):
+        run_sweep(prop, n, budget=boundary - 1, **inputs)
+
+
 def test_record_and_summary_format():
     result = run_sweep("parity", 3, exhaustive=True)
     line = result.records[0].line()
