@@ -109,18 +109,24 @@ def cmd_sort(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    result = verify.run_sweep(
+    """Writes each record as the sweep gives it, so it holds none of them; a
+    sweep that fails part-way has written its header and the records before
+    the failure when main writes the error line."""
+    records = verify.sweep_records(
         args.property, args.n,
         exhaustive=args.exhaustive, samples=args.samples or 0,
         seed=args.seed, budget=args.budget,
     )
-    seed = "-" if result.seed is None else str(result.seed)
-    print(f"# sweep property={result.prop} n={result.n} mode={result.mode} "
-          f"seed={seed} budget={args.budget}")
-    for record in result.records:
+    mode, seed = ("exhaustive", None) if args.exhaustive else ("samples", args.seed)
+    print(f"# sweep property={args.property} n={args.n} mode={mode} "
+          f"seed={'-' if seed is None else seed} budget={args.budget}")
+    cases = failures = 0
+    for record in records:
         print(record.line())
-    print(result.summary())
-    return 0 if result.failures == 0 else 1
+        cases += 1
+        failures += not record.ok
+    print(verify.summary_line(args.property, args.n, mode, seed, cases, failures))
+    return 0 if failures == 0 else 1
 
 
 def cmd_game(args) -> int:

@@ -12,6 +12,15 @@ order.  Sample mode draws permutations of length n uniformly at random from a
 seeded generator, so a (seed, n, samples) triple always reproduces the same
 records.
 
+sweep_records gives a sweep's records one at a time, as it checks each
+input, so a caller that writes each as it comes holds none of them;
+run_sweep collects them into a SweepResult.  A sweep that runs out of budget
+raises BudgetExceededError after the records it has already given.  Besides
+its fold memo, a sweep keeps one object per distinct value its records
+repeat: one (ok, detail) pair per distinct set of the numbers a detail
+prints, and, exhaustive, one overlap-graph position per distinct position
+the commutation sweep builds.
+
 The exhaustive parity, same-length, rescue and steps sweeps fold one state
 per orbit of the symmetries of the cdr move graph (ops.CdrOrbits), the least
 of its images, and spend one unit of the budget per canonical state: their
@@ -39,7 +48,7 @@ import functools
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import analysis, ops
 from . import graph as graphmod
@@ -81,9 +90,15 @@ class SweepResult:
         return sum(1 for r in self.records if not r.ok)
 
     def summary(self) -> str:
-        seed = "-" if self.seed is None else str(self.seed)
-        return (f"# summary property={self.prop} n={self.n} mode={self.mode} "
-                f"cases={self.cases} failures={self.failures} seed={seed}")
+        return summary_line(self.prop, self.n, self.mode, self.seed, self.cases, self.failures)
+
+
+def summary_line(prop: str, n: int, mode: str, seed: int | None, cases: int,
+                 failures: int) -> str:
+    """The closing line of a sweep's text, from its counts."""
+    seed = "-" if seed is None else str(seed)
+    return (f"# summary property={prop} n={n} mode={mode} "
+            f"cases={cases} failures={failures} seed={seed}")
 
 
 # the properties whose exhaustive sweeps fold over one state per orbit (see
@@ -92,9 +107,9 @@ _ORBITS = {"parity": False, "same-length": True, "rescue": False, "steps": False
 
 
 class _SweepContext:
-    """One sweep's budget, its one memo, its verdicts by length mask and its
-    greedy-cds cache, shared across its inputs: a sweep checks one property,
-    which folds one way.
+    """One sweep's budget, its one memo, its verdicts, its overlap-graph
+    positions and its greedy-cds cache, shared across its inputs: a sweep
+    checks one property, which folds one way.
 
     The exhaustive parity, same-length, rescue and steps sweeps fold over the
     canonical states of ``group``, an ops.CdrOrbits, spending one unit per
@@ -105,12 +120,13 @@ class _SweepContext:
     state is its own orbit.  ``targets[k]`` is the identity's state, taken
     by the k-th map of ``group``.  The commutation sweep folds nothing: it
     spends one unit per overlap-graph position it builds and, exhaustive,
-    keeps each state's in the memo."""
+    keeps each state's in the memo, one object per distinct position."""
 
     def __init__(self, prop: str, n: int, budget: int, exhaustive: bool):
         self.tracker = Tracker(budget)
         self.memo: dict = {}
         self.verdicts: dict = {}
+        self.positions: dict = {}
         self.exhaustive = exhaustive
         self.identity = identity_entries(n)
         target, kernel, decode = ops.cdr_states(self.identity)
@@ -136,12 +152,13 @@ class _SweepContext:
 
         self.cds_finish = cds_finish
 
-    def verdict(self, judge, mask: int) -> tuple[bool, str]:
-        """judge(mask), the (ok, detail) of a record, built once per distinct
-        length mask in the sweep."""
-        hit = self.verdicts.get(mask)
+    def verdict(self, judge, key) -> tuple[bool, str]:
+        """judge(key), the (ok, detail) of a record, built once per distinct
+        key in the sweep: a length mask, or the numbers the detail prints.
+        Records with equal details share one string."""
+        hit = self.verdicts.get(key)
         if hit is None:
-            hit = self.verdicts[mask] = judge(mask)
+            hit = self.verdicts[key] = judge(key)
         return hit
 
     def fixed_points(self, entries: Entries) -> tuple[dict, int]:
@@ -159,16 +176,19 @@ class _SweepContext:
     def overlap_masks(self, state, decode):
         """The overlap-graph position of a state of ops.cdr_states.  In an
         exhaustive sweep every child is also an input, so the memo, keyed by
-        state, builds each position once.  Sampled inputs share almost no
-        states, so there a memo would only grow: at n = 130 it held about
-        9 KB per state."""
+        state, builds each position once.  Many states share a position (at
+        n = 7, 645,120 states have 46,080 positions), so the memo holds one
+        object per distinct position, through ``positions``.  Sampled inputs
+        share almost no states, so there a memo would only grow: at n = 130 it
+        held about 9 KB per state."""
         if not self.exhaustive:
             self.tracker.spend()
             return graphmod.overlap_masks(decode(state))
         hit = self.memo.get(state)
         if hit is None:
             self.tracker.spend()
-            hit = self.memo[state] = graphmod.overlap_masks(decode(state))
+            position = graphmod.overlap_masks(decode(state))
+            hit = self.memo[state] = self.positions.setdefault(position, position)
         return hit
 
 
@@ -241,6 +261,11 @@ def _check_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]
                                                                   ctx.states))
 
 
+def _rescue(key: tuple[int, int]) -> tuple[bool, str]:
+    fixed_points, bad = key
+    return bad == 0, f"fixed-points={fixed_points} unrescued={bad}"
+
+
 def _check_rescue(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     fps, k = ctx.fixed_points(entries)
     if ctx.targets[k] not in fps:
@@ -250,7 +275,12 @@ def _check_rescue(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
         fp, end, _ = ctx.cds_finish(fp)[k]
         if end != ctx.identity or any(v < 0 for v in fp):
             bad += 1
-    return bad == 0, f"fixed-points={len(fps)} unrescued={bad}"
+    return ctx.verdict(_rescue, (len(fps), bad))
+
+
+def _steps(key: tuple[int, int, int]) -> tuple[bool, str]:
+    pairs, bad, sorting_length = key
+    return bad == 0, f"runs={pairs} violations={bad} sorting-length={sorting_length}"
 
 
 def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
@@ -260,7 +290,7 @@ def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
         return True, "not-cdr-sortable"
     sort_lengths = mask_lengths(fps[target])
     if len(sort_lengths) != 1:
-        return False, "sorting-lengths=" + ",".join(map(str, sort_lengths))
+        return ctx.verdict(_same_length, fps[target])
     sorting_length = sort_lengths[0]
     pairs = 0
     bad = 0
@@ -275,7 +305,7 @@ def _check_steps(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
             pairs += 1
             if length + 2 * m != sorting_length:
                 bad += 1
-    return bad == 0, f"runs={pairs} violations={bad} sorting-length={sorting_length}"
+    return ctx.verdict(_steps, (pairs, bad, sorting_length))
 
 
 def _cds_same_length(mask: int) -> tuple[bool, str]:
@@ -286,6 +316,11 @@ def _cds_same_length(mask: int) -> tuple[bool, str]:
 def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     return ctx.verdict(_cds_same_length, analysis.maximal_length_mask(
         entries, ctx.memo, ctx.tracker, ops.cds_states))
+
+
+def _commutation(key: tuple[int, int]) -> tuple[bool, str]:
+    pointers, bad = key
+    return bad == 0, f"pointers={pointers} violations={bad}"
 
 
 def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
@@ -300,7 +335,7 @@ def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]
     for i, child in zip(moves, children):
         if ctx.overlap_masks(child, decode) != graphmod.move(rows, ori, i - 1):
             bad += 1
-    return bad == 0, f"pointers={len(moves)} violations={bad}"
+    return ctx.verdict(_commutation, (len(moves), bad))
 
 
 _CHECKS: dict[str, Callable[[Entries, _SweepContext], tuple[bool, str]]] = {
@@ -315,10 +350,14 @@ _CHECKS: dict[str, Callable[[Entries, _SweepContext], tuple[bool, str]]] = {
 PROPERTIES = tuple(sorted(_CHECKS))
 
 
-def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
-              seed: int = 0, budget: int = DEFAULT_BUDGET) -> SweepResult:
-    """Run one property sweep.  Exactly one of exhaustive/samples selects the
-    input set; sample mode draws permutations of length n."""
+def sweep_records(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
+                  seed: int = 0, budget: int = DEFAULT_BUDGET) -> Iterator[CheckRecord]:
+    """One property sweep's records, in input order, each checked as it is
+    asked for.  Exactly one of exhaustive/samples selects the input set;
+    sample mode draws permutations of length n.  The arguments are checked
+    here, before the first record; an error from a check, such as
+    BudgetExceededError, comes from the iterator, after the records before
+    it."""
     if prop not in _CHECKS:
         raise ValueError(f"unknown property {prop!r}; known: {', '.join(PROPERTIES)}")
     if n < 1 or samples < 0:
@@ -329,16 +368,30 @@ def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
     ctx = _SweepContext(prop, n, budget, exhaustive)
     if exhaustive:
         inputs: Iterable[Entries] = all_signed_permutations(n)
-        mode, used_seed = "exhaustive", None
     else:
         rng = random.Random(seed)
         inputs = (random_signed_permutation(rng, n) for _ in range(samples))
-        mode, used_seed = "samples", seed
-    records = []
+    return _records(prop, check, ctx, inputs)
+
+
+def _records(prop: str, check, ctx: _SweepContext,
+             inputs: Iterable[Entries]) -> Iterator[CheckRecord]:
+    """The generator sweep_records returns: apart from it, so that
+    sweep_records checks its arguments when it is called."""
     for entries in inputs:
         ok, detail = check(entries, ctx)
-        records.append(CheckRecord(prop, format_entries(entries), ok, detail))
-    return SweepResult(prop, n, mode, used_seed, tuple(records))
+        yield CheckRecord(prop, format_entries(entries), ok, detail)
+
+
+def run_sweep(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
+              seed: int = 0, budget: int = DEFAULT_BUDGET) -> SweepResult:
+    """Run one property sweep to the end and keep its records: sweep_records,
+    collected."""
+    records = tuple(sweep_records(prop, n, exhaustive=exhaustive, samples=samples, seed=seed,
+                                  budget=budget))
+    if exhaustive:
+        return SweepResult(prop, n, "exhaustive", None, records)
+    return SweepResult(prop, n, "samples", seed, records)
 
 
 def probe_total_sequence_lengths(num_graphs: int, max_vertices: int, seed: int,

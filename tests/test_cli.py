@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cdsort import analysis, games
+from cdsort import analysis, games, verify
 from cdsort.cli import main
 from cdsort.graph import gf2_rank, graph_from_text, overlap_masks, to_text
 from cdsort.ops import SortTrace
@@ -206,14 +206,65 @@ def test_verify_on_deep_input_is_an_error_line(capsys):
     # runs far longer than the recursion limit allows
     code, out, err = run_cli(capsys, "verify", "--property", "parity", "--n", "2000",
                              "--samples", "1")
-    assert code == 1 and out == ""
+    # the header is written before the first record is checked
+    assert code == 1
+    assert out == "# sweep property=parity n=2000 mode=samples seed=0 budget=10000000\n"
     assert err == "error: cdr runs from this input are too long for the exhaustive search\n"
 
 
 def test_verify_commutation_spends_its_budget(capsys):
     code, out, err = run_cli(capsys, "verify", "--property", "commutation", "--n", "5",
                              "--exhaustive", "--budget", "3")
-    assert code == 1 and out == ""
+    assert code == 1
+    assert out == (
+        "# sweep property=commutation n=5 mode=exhaustive seed=- budget=3\n"
+        "commutation\tPASS\t[1, 2, 3, 4, 5]\tpointers=0 violations=0\n"
+        "commutation\tPASS\t[-1, 2, 3, 4, 5]\tpointers=1 violations=0\n"
+        "commutation\tPASS\t[1, -2, 3, 4, 5]\tpointers=2 violations=0\n"
+    )
+    assert err == "error: search budget exhausted\n"
+
+
+def _sweeps():
+    for prop in verify.PROPERTIES:
+        for n in range(1, 7):
+            marks = [pytest.mark.slow] if n == 6 else []
+            yield pytest.param(prop, n, {"exhaustive": True}, marks=marks,
+                               id=f"{prop}-{n}-exhaustive")
+        yield pytest.param(prop, 9, {"samples": 20, "seed": 5}, id=f"{prop}-9-samples")
+
+
+@pytest.mark.parametrize("prop, n, inputs", _sweeps())
+def test_verify_streams_the_bytes_of_run_sweep(capsys, prop, n, inputs):
+    result = verify.run_sweep(prop, n, **inputs)
+    seed = "-" if result.seed is None else result.seed
+    text = "".join(
+        [f"# sweep property={prop} n={n} mode={result.mode} seed={seed} budget=10000000\n"]
+        + [record.line() + "\n" for record in result.records]
+        + [result.summary() + "\n"])
+    if "exhaustive" in inputs:
+        argv = ("--exhaustive",)
+    else:
+        argv = ("--samples", str(inputs["samples"]), "--seed", str(inputs["seed"]))
+    code, out, err = run_cli(capsys, "verify", "--property", prop, "--n", str(n), *argv)
+    assert (code, out, err) == (0, text, "")
+
+
+@pytest.mark.parametrize("prop, finished", [
+    ("parity", 68), ("same-length", 58), ("rescue", 68), ("steps", 68),
+    ("cds-same-length", 53), ("commutation", 49),
+])
+def test_verify_out_of_budget_keeps_the_records_it_wrote(capsys, prop, finished):
+    # verify writes each record as it comes, so a sweep that runs out of
+    # budget part-way has written its header and the records before it
+    argv = ("verify", "--property", prop, "--n", "4", "--exhaustive")
+    code, full, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--budget", "60")
+    assert code == 1
+    lines = full.splitlines(keepends=True)
+    header = lines[0].replace("budget=10000000", "budget=60")
+    assert out == header + "".join(lines[1:1 + finished])
     assert err == "error: search budget exhausted\n"
 
 

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 import textwrap
 import tracemalloc
@@ -6,9 +7,10 @@ import tracemalloc
 import pytest
 
 from cdsort import graph as graphmod
-from cdsort import ops
-from cdsort.analysis import BudgetExceededError, Tracker
+from cdsort import ops, verify
+from cdsort.analysis import DEFAULT_BUDGET, BudgetExceededError, Tracker
 from cdsort.graph import OrientedGraph, masks, random_oriented_graph
+from cdsort.perm import all_signed_permutations
 from cdsort.verify import (
     PROPERTIES,
     CheckRecord,
@@ -136,6 +138,26 @@ def test_commutation_memo_hides_no_kernel_fault(monkeypatch):
     monkeypatch.setattr(ops, "_cdr_children_bytes", namespace["_cdr_children_bytes"])
     result = run_sweep("commutation", 5, exhaustive=True)
     assert (result.failures, result.cases) == (3600, 3840)
+
+
+@pytest.mark.parametrize("n, positions", [(5, 384), (6, 3_840)])
+def test_commutation_memo_holds_one_object_per_position(n, positions):
+    distinct = {graphmod.overlap_masks(entries) for entries in all_signed_permutations(n)}
+    assert len(distinct) == positions
+    ctx = verify._SweepContext("commutation", n, DEFAULT_BUDGET, exhaustive=True)
+    for entries in all_signed_permutations(n):
+        assert verify._check_commutation(entries, ctx)[0]
+    assert len(ctx.memo) == 2 ** n * math.factorial(n)
+    assert len({id(value) for value in ctx.memo.values()}) == positions
+    assert set(ctx.memo.values()) == distinct
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_records_with_equal_details_share_one_string(prop):
+    for n in range(1, 7):
+        details: dict = {}
+        for record in run_sweep(prop, n, exhaustive=True).records:
+            assert details.setdefault(record.detail, record.detail) is record.detail
 
 
 def test_total_length_probe_finds_no_counterexamples():
