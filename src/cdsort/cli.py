@@ -120,9 +120,10 @@ def cmd_verify(args) -> int:
     mode, seed = ("exhaustive", None) if args.exhaustive else ("samples", args.seed)
     print(f"# sweep property={args.property} n={args.n} mode={mode} "
           f"seed={'-' if seed is None else seed} budget={args.budget}")
+    write = sys.stdout.write
     cases = failures = 0
     for record in records:
-        print(record.line())
+        write(record.line() + "\n")
         cases += 1
         failures += not record.ok
     print(verify.summary_line(args.property, args.n, mode, seed, cases, failures))

@@ -48,7 +48,7 @@ import functools
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import analysis, ops
 from . import graph as graphmod
@@ -62,8 +62,10 @@ from .perm import (
     random_signed_permutation,
 )
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
+    """One input's verdict; line() is its text.  A NamedTuple, so that a
+    sweep's many records cost a tuple each."""
+
     prop: str
     subject: str
     ok: bool

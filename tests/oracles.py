@@ -39,7 +39,8 @@ their rewrites:
 - plain_sweep_records and the _check_* functions: the property checks of
   the exhaustive sweeps on the plain fold, one state per signed permutation,
   with each record's detail built per input (the cds check folds
-  maximal_length_mask on ops.cds_states, which replaced cds_length_mask).
+  maximal_length_mask on ops.cds_states, which replaced cds_length_mask;
+  the commutation check is not verbatim: it reads the set oracles above).
 """
 from __future__ import annotations
 
@@ -683,7 +684,8 @@ def plain_sweep_records(prop: str, n: int, budget: int = analysis.DEFAULT_BUDGET
     """The exhaustive sweep's records of a plain check, in input order."""
     check = {"parity": _check_parity, "same-length": _check_same_length,
              "rescue": _check_rescue, "steps": _check_steps,
-             "cds-same-length": _check_cds_same_length}[prop]
+             "cds-same-length": _check_cds_same_length,
+             "commutation": _check_commutation}[prop]
     ctx = _SweepContext(memo={}, tracker=Tracker(budget),
                         greedy_cds=functools.cache(ops.greedy_cds_run))
     return [CheckRecord(prop, format_entries(entries), *check(entries, ctx))
@@ -750,3 +752,14 @@ def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, 
     lengths = mask_lengths(analysis.maximal_length_mask(entries, ctx.memo, ctx.tracker,
                                                         ops.cds_states))
     return len(lengths) == 1, "lengths=" + ",".join(map(str, lengths))
+
+
+def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
+    """Not verbatim: the sweep's commutation check on the set oracles, with
+    each child from cdr_step, not from the kernel of ops.cdr_states."""
+    moves = cdr_moves(entries)
+    g = overlap_graph_sets(entries)
+    bad = len(set(moves) ^ g[2])
+    bad += sum(overlap_graph_sets(cdr_step(entries, i)) != gcdr_sets(g, i)
+               for i in moves if i in g[2])
+    return bad == 0, f"pointers={len(moves)} violations={bad}"

@@ -15,10 +15,15 @@ from typing import NamedTuple
 
 import pytest
 
-from cdsort import analysis, ops, verify
+from cdsort import analysis, ops, perm, verify
 from cdsort.perm import all_signed_permutations
 
-from oracles import cds_children, parity_by_playout, plain_sweep_records
+from oracles import (
+    cds_children,
+    format_entries_by_generator,
+    parity_by_playout,
+    plain_sweep_records,
+)
 
 
 class Mutant(NamedTuple):
@@ -56,12 +61,37 @@ MUTANTS = [
     # through CN is taken back to the wrong state
     Mutant("ops.CdrOrbits.__init__", "lambda state: state.translate(cn),",
            "lambda state: state[::-1].translate(cn),", "rescue records n=5", 384),
+    # the orbits' R map negates the state without reversing it
+    Mutant("ops.CdrOrbits.__init__", "lambda state: state[::-1].translate(_NEG),",
+           "lambda state: state.translate(_NEG),", "rescue records n=5", 384),
+    # the orbits' CNR map complements the state without reversing it
+    Mutant("ops.CdrOrbits.__init__",
+           "state.translate(cn),\n" + " " * 21 + "lambda state: state[::-1].translate(cnr))",
+           "state.translate(cn),\n" + " " * 21 + "lambda state: state.translate(cnr))",
+           "rescue records n=5", 586),
+    # locate forgets the map, so every state reads its orbit's fixed points
+    # as its own
+    Mutant("ops.CdrOrbits.__init__", "return low, images.index(low)", "return low, 0",
+           "rescue records n=5", 1_227),
+    # locate lists the images out of step with the maps, CN before R: the
+    # records cannot see it (R and CN differ by CNR, which keeps every sign
+    # and takes the identity to itself), the orbit contract can
+    Mutant("ops.CdrOrbits.__init__",
+           "images = (state, back.translate(_NEG), state.translate(cn), back.translate(cnr))",
+           "images = (state, state.translate(cn), back.translate(_NEG), back.translate(cnr))",
+           "locate n=5", 1_888),
     # gcdr at an isolated vertex leaves its flag set
     Mutant("graph.move", "return rows, ori ^ (1 << i)", "return rows, ori",
            "commutation n=5", 990),
     # the orientation flags off the diagonal, all on column 0
     Mutant("graph.gf2_rank", "row |= (ori >> k & 1) << k", "row |= ori >> k & 1",
            "parity n=5", 1_650),
+    # the subject template without the space after each comma
+    Mutant("perm.format_entries", '"%s, " * (len(entries) - 1)', '"%s," * (len(entries) - 1)',
+           "format n=4", 384),
+    # the verdict words swapped
+    Mutant("verify.CheckRecord.line", "'PASS' if self.ok else 'FAIL'",
+           "'FAIL' if self.ok else 'PASS'", "record lines n=4", 384),
 ]
 
 
@@ -83,6 +113,32 @@ def _rescue_records(n: int) -> int:
     return sum(a != b for a, b in zip(records, plain_sweep_records("rescue", n)))
 
 
+def _locate(n: int) -> int:
+    """States of length n whose map from locate does not take them to the
+    least image, or that image back to them."""
+    orbits = ops.CdrOrbits(n)
+    bad = 0
+    for entries in all_signed_permutations(n):
+        state = ops.cdr_states(entries)[0]
+        least, k = orbits.locate(state)
+        bad += orbits.maps[k](state) != least or orbits.maps[k](least) != state
+    return bad
+
+
+def _format(n: int) -> int:
+    """Inputs whose text form differs from the generator form."""
+    return sum(perm.format_entries(entries) != format_entries_by_generator(entries)
+               for entries in all_signed_permutations(n))
+
+
+def _record_lines(n: int) -> int:
+    """Records of the exhaustive parity sweep whose line is not their
+    fields, tab-separated, with the verdict word for ok."""
+    return sum(record.line().split("\t")
+               != [record.prop, "PASS" if record.ok else "FAIL", record.subject, record.detail]
+               for record in verify.run_sweep("parity", n, exhaustive=True).records)
+
+
 def _parity(n: int) -> int:
     """Inputs whose parity by rank differs from that of a playout."""
     return sum(analysis.parity(entries) != parity_by_playout(entries)
@@ -95,6 +151,9 @@ CHECKS = {
     "cds children n=5": lambda: _cds_children(5),
     "parity n=5": lambda: _parity(5),
     "rescue records n=5": lambda: _rescue_records(5),
+    "locate n=5": lambda: _locate(5),
+    "format n=4": lambda: _format(4),
+    "record lines n=4": lambda: _record_lines(4),
 }
 
 def _mutate(monkeypatch, mutant: Mutant) -> None:

@@ -214,10 +214,24 @@ def test_enumeration_order_matches_sign_masks():
         assert list(all_signed_permutations(n)) == list(all_signed_permutations_by_masks(n))
 
 
-@given(st.lists(st.integers()))
+@given(st.lists(st.one_of(st.integers(), st.booleans(), st.floats())))
 def test_format_entries_matches_generator_form(values):
-    assert format_entries(values) == format_entries_by_generator(values)
-    assert format_entries(tuple(values)) == format_entries_by_generator(tuple(values))
+    # every element goes through str(), bools and floats too, whatever holds it
+    expected = format_entries_by_generator(values)
+    assert format_entries(values) == expected
+    assert format_entries(tuple(values)) == expected
+    assert format_entries(v for v in values) == expected
+
+
+@pytest.mark.parametrize("values", [
+    (), [], range(0), range(1, 8), range(5, -6, -2), (True, False, 1), (1.5, -0.0, float("inf")),
+    tuple((-1) ** (v + 1) * v for v in range(1, 2001)),
+], ids=["tuple-empty", "list-empty", "range-empty", "range", "range-step", "bool", "float",
+        "alternating-2000"])
+def test_format_entries_on_ranges_generators_and_long_inputs(values):
+    expected = format_entries_by_generator(values)
+    assert format_entries(values) == expected
+    assert format_entries(v for v in values) == expected
 
 
 def test_random_permutation_is_seeded():

@@ -19,7 +19,7 @@ from cdsort.verify import (
     run_sweep,
 )
 
-from oracles import gcdr_sets, graph_sets
+from oracles import gcdr_sets, graph_sets, plain_sweep_records
 
 
 def test_known_properties():
@@ -79,6 +79,29 @@ def test_record_and_summary_format():
 def test_failing_record_renders_fail():
     rec = CheckRecord("parity", "[1]", False, "lengths=0,1")
     assert rec.line() == "parity\tFAIL\t[1]\tlengths=0,1"
+
+
+def test_check_record_contract():
+    # a NamedTuple: its fields in order, immutable, equal and hashed by value
+    assert CheckRecord._fields == ("prop", "subject", "ok", "detail")
+    rec = CheckRecord("rescue", "[2, -1]", True, "fixed-points=1 unrescued=0")
+    assert rec.line() == "rescue\tPASS\t[2, -1]\tfixed-points=1 unrescued=0"
+    assert rec._replace(ok=False).line() == "rescue\tFAIL\t[2, -1]\tfixed-points=1 unrescued=0"
+    with pytest.raises(AttributeError):
+        rec.ok = False
+    twin = CheckRecord("".join(["res", "cue"]), "[2, -1]", True, "fixed-points=1 unrescued=0")
+    assert twin == rec and hash(twin) == hash(rec)
+    assert twin != rec._replace(detail="fixed-points=1 unrescued=1")
+    assert repr(rec) == ("CheckRecord(prop='rescue', subject='[2, -1]', ok=True, "
+                         "detail='fixed-points=1 unrescued=0')")
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_sweep_records_are_the_plain_records(prop):
+    for n in range(1, 6):
+        records = run_sweep(prop, n, exhaustive=True).records
+        assert all(type(record) is CheckRecord for record in records)
+        assert records == tuple(plain_sweep_records(prop, n))
 
 
 def test_run_sweep_argument_validation():
