@@ -38,14 +38,16 @@ them as the single step, cdr_step at each pointer cdr_moves lists.  A cds
 state is the entries tuple, with _cds_children.  A public operation wraps a
 kernel's result with SignedPermutation._of, which does not validate it
 again.  Every trace, by contrast, takes the strict public step: _apply_move
-applies one ("cdr", i) or ("cds", (i, j)) move with full checks.  CdrOrbits,
-also on bytes states, holds the maps R and CN that commute with cdr, and the
-canonical states and children kernels of an exhaustive sweep that folds one
-state per orbit of them.
+applies one ("cdr", i) or ("cds", (i, j)) move with full checks.  CdrOrbits
+holds the maps R and CN that commute with cdr on bytes states, and the
+canonical states and children kernels of a sweep that folds one state per
+orbit of a group of them, down to the identity alone: so only this module
+decides which states a cdr sweep folds over.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from .perm import Entries, SignedPermutation, as_entries, format_entries
@@ -148,10 +150,13 @@ def _decode(state: bytes) -> Entries:
 
 
 class CdrOrbits:
-    """The orbits of bytes states of n < 128 entries under a group of the
-    maps above: all four, or only the identity and CNR (which keeps each
-    entry's sign, and fixes the identity, where R and CN swap it with the
-    reverse identity).
+    """The orbits of cdr states of n >= 1 entries under a group of the maps
+    above, of ``order`` 4 (all four maps), 2 (the identity and CNR, which
+    keeps each entry's sign, and fixes the identity, where R and CN swap it
+    with the reverse identity) or 1 (the identity alone, where each state is
+    its own orbit).  R and CN act on bytes states only, so from n = 128 on,
+    where states are the entries tuples, every order gives the identity
+    alone.
 
     maps      -- the group's maps on states, identity first;
     least     -- a state -> the least of its images, its orbit's canonical
@@ -159,9 +164,10 @@ class CdrOrbits:
     children  -- a state -> the least image of each cdr child, in pointer
                  order;
     states    -- entries -> (least root, children, decode), the triple of
-                 cdr_states over canonical states;
+                 cdr_states over canonical states (cdr_states itself at
+                 order 1);
 
-    and under all four maps, for folds whose values move with the map:
+    and at orders 4 and 1, for folds whose values move with the map:
 
     locate    -- a state -> (least, k), where maps[k] takes the state to
                  least and least back to the state;
@@ -169,12 +175,23 @@ class CdrOrbits:
                  order.
     """
 
-    def __init__(self, n: int, cnr_only: bool = False):
-        if not 0 < n < 0x80:
-            raise ValueError(f"orbits of bytes states need 1 <= n <= 127, got {n}")
+    def __init__(self, n: int, order: int = 4):
+        if n < 1 or order not in (1, 2, 4):
+            raise ValueError(f"cdr orbits need n >= 1 and order 1, 2 or 4, "
+                             f"got n={n}, order={order}")
+        if order == 1 or n >= 0x80:  # R and CN act on bytes states only
+            kernel = _cdr_children_bytes if n < 0x80 else _cdr_children
+            self.maps = (_same,)
+            self.least = _same
+            self.children = kernel
+            self.states = cdr_states
+            self.locate = lambda state: (state, 0)
+            # each child by map 0, the identity: the fold then calls no map
+            self.edges = lambda state: zip(kernel(state), repeat(0))
+            return
         cnr = bytes(b if b & 0x7F > n or not b & 0x7F else (n + 1 - (b & 0x7F)) | (b & 0x80)
                     for b in range(256))
-        if cnr_only:
+        if order == 2:
             self.maps = (_same, lambda state: state[::-1].translate(cnr))
 
             def least(state):
@@ -199,13 +216,11 @@ class CdrOrbits:
             self.locate = locate
             self.edges = lambda state: map(locate, _cdr_children_bytes(state))
         self.least = least
-        self.children = lambda state: map(least, _cdr_children_bytes(state))
-
-    def states(self, entries: Entries):
-        return self.least(cdr_states(entries)[0]), self.children, _decode
+        self.children = children = lambda state: map(least, _cdr_children_bytes(state))
+        self.states = lambda entries: (least(cdr_states(entries)[0]), children, _decode)
 
 
-def _same(state: bytes) -> bytes:
+def _same(state):
     return state
 
 

@@ -21,14 +21,18 @@ repeat: one (ok, detail) pair per distinct set of the numbers a detail
 prints, and, exhaustive, one overlap-graph position per distinct position
 the commutation sweep builds.
 
-The exhaustive parity, same-length, rescue and steps sweeps fold one state
-per orbit of the symmetries of the cdr move graph (ops.CdrOrbits), the least
-of its images, and spend one unit of the budget per canonical state: their
-records are the plain fold's, in about a quarter of the states (half for
-same-length, whose group is the identity and CNR, the maps that fix the
-identity).  Sample mode, tuple states (n >= 128), cds-same-length and
-commutation fold plainly, one state per signed permutation; rescue and steps
-run the same fixed-point fold there, over the group of the identity alone.
+The parity, same-length, rescue and steps sweeps fold one state per orbit
+of a group of the symmetries of the cdr move graph, an ops.CdrOrbits, the
+least of its images, and spend one unit of the budget per canonical state:
+their records are the plain fold's.  One table, _PROPERTIES, gives each
+property its check and the group's order in an exhaustive sweep: all four
+maps for parity, rescue and steps (about a quarter of the states), the
+identity and CNR, the maps that fix the identity, for same-length (about
+half), and the identity alone, one state per signed permutation, for
+cds-same-length (which folds on ops.cds_states) and commutation.  Sample
+mode takes the identity alone, and on tuple states ops gives the identity
+alone at every order; rescue and steps run one fixed-point fold in every
+mode.
 
 Properties:
 
@@ -47,7 +51,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import analysis, ops
@@ -103,26 +106,21 @@ def summary_line(prop: str, n: int, mode: str, seed: int | None, cases: int,
             f"cases={cases} failures={failures} seed={seed}")
 
 
-# the properties whose exhaustive sweeps fold over one state per orbit (see
-# ops.CdrOrbits), and whether their group is only the identity and CNR
-_ORBITS = {"parity": False, "same-length": True, "rescue": False, "steps": False}
-
-
 class _SweepContext:
     """One sweep's budget, its one memo, its verdicts, its overlap-graph
     positions and its greedy-cds cache, shared across its inputs: a sweep
     checks one property, which folds one way.
 
-    The exhaustive parity, same-length, rescue and steps sweeps fold over the
-    canonical states of ``group``, an ops.CdrOrbits, spending one unit per
-    canonical state; their records are those of the plain fold.  The other
-    sweeps fold plainly, on the states of ops.cdr_states (or of
-    ops.cds_states, for cds-same-length), and rescue and steps there fold
-    over ``group`` as the group of the identity alone, _OneMap, where each
-    state is its own orbit.  ``targets[k]`` is the identity's state, taken
-    by the k-th map of ``group``.  The commutation sweep folds nothing: it
-    spends one unit per overlap-graph position it builds and, exhaustive,
-    keeps each state's in the memo, one object per distinct position."""
+    The parity, same-length, rescue and steps sweeps fold over the canonical
+    states of ``group``: the ops.CdrOrbits of the order _PROPERTIES gives
+    the property when exhaustive, and of order 1, the identity alone, in
+    sample mode, where canonicalising each input costs more than the few
+    states the inputs share save.  They spend one unit per canonical state,
+    and their records are those of the plain fold.  cds-same-length folds on
+    ops.cds_states.  ``targets[k]`` is the identity's state, taken by the
+    k-th map of ``group``.  The commutation sweep folds nothing: it spends
+    one unit per overlap-graph position it builds and, exhaustive, keeps
+    each state's in the memo, one object per distinct position."""
 
     def __init__(self, prop: str, n: int, budget: int, exhaustive: bool):
         self.tracker = Tracker(budget)
@@ -131,13 +129,8 @@ class _SweepContext:
         self.positions: dict = {}
         self.exhaustive = exhaustive
         self.identity = identity_entries(n)
-        target, kernel, decode = ops.cdr_states(self.identity)
-        if exhaustive and prop in _ORBITS and n <= 127:  # bytes states
-            self.group = ops.CdrOrbits(n, cnr_only=_ORBITS[prop])
-            self.states = self.group.states
-        else:
-            self.group = _OneMap(kernel)
-            self.states = ops.cdr_states
+        target, _, decode = ops.cdr_states(self.identity)
+        self.group = ops.CdrOrbits(n, _PROPERTIES[prop][1] if exhaustive else 1)
         maps = self.group.maps
         self.targets = tuple(image(target) for image in maps)
 
@@ -194,34 +187,15 @@ class _SweepContext:
         return hit
 
 
-def _same(x):
-    return x
-
-
-class _OneMap:
-    """The group of the identity alone on the states of a cdr children
-    kernel, shaped as ops.CdrOrbits for _fixed_point_states: each state is
-    its own orbit, and every child is reached by map 0."""
-
-    maps = (_same,)
-
-    def __init__(self, kernel):
-        self.edges = lambda state: zip(kernel(state), repeat(0))
-
-    @staticmethod
-    def locate(state):
-        return state, 0
-
-
 def _fixed_point_states(state, memo: dict, spend, group) -> dict:
     """The fixed-point fold at a state not in ``memo``, over the orbits of
-    ``group`` (ops.CdrOrbits or _OneMap): each orbit's state holds its fixed
-    points, as states, with the length masks of the cdr runs ending there.
-    Every maximal run ends at some fixed point, so this covers every run
-    without enumerating paths.  A child's table is its orbit's taken back by
-    the map that took the child there, so nothing is decoded here.  Each
-    state spends one unit, and is folded, in the order and with the frames
-    of analysis.fold."""
+    ``group``, an ops.CdrOrbits of order 4 or 1: each orbit's state holds
+    its fixed points, as states, with the length masks of the cdr runs
+    ending there.  Every maximal run ends at some fixed point, so this
+    covers every run without enumerating paths.  A child's table is its
+    orbit's taken back by the map that took the child there, so nothing is
+    decoded here.  Each state spends one unit, and is folded, in the order
+    and with the frames of analysis.fold."""
     spend()
     table: dict = {}
     maps = group.maps
@@ -234,7 +208,7 @@ def _fixed_point_states(state, memo: dict, spend, group) -> dict:
             for fp, mask in res.items():
                 fp = image(fp)
                 table[fp] = table.get(fp, 0) | mask << 1
-        else:  # map 0, the identity, on every edge of _OneMap: no call per entry
+        else:  # map 0, the identity, on every edge at order 1: no call per entry
             for fp, mask in res.items():
                 table[fp] = table.get(fp, 0) | mask << 1
     table = memo[state] = table or {state: 1}
@@ -248,7 +222,7 @@ def _parity(mask: int) -> tuple[bool, str]:
 
 def _check_parity(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     return ctx.verdict(_parity, analysis.maximal_length_mask(entries, ctx.memo, ctx.tracker,
-                                                             ctx.states))
+                                                             ctx.group.states))
 
 
 def _same_length(mask: int) -> tuple[bool, str]:
@@ -260,7 +234,7 @@ def _same_length(mask: int) -> tuple[bool, str]:
 
 def _check_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     return ctx.verdict(_same_length, analysis.sorting_length_mask(entries, ctx.memo, ctx.tracker,
-                                                                  ctx.states))
+                                                                  ctx.group.states))
 
 
 def _rescue(key: tuple[int, int]) -> tuple[bool, str]:
@@ -340,16 +314,20 @@ def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]
     return ctx.verdict(_commutation, (len(moves), bad))
 
 
-_CHECKS: dict[str, Callable[[Entries, _SweepContext], tuple[bool, str]]] = {
-    "parity": _check_parity,
-    "same-length": _check_same_length,
-    "rescue": _check_rescue,
-    "steps": _check_steps,
-    "cds-same-length": _check_cds_same_length,
-    "commutation": _check_commutation,
+# each property's check, and the order of the ops.CdrOrbits group its
+# exhaustive sweep folds over: 1, the identity alone, for the sweeps that fold
+# plainly (cds-same-length's fold is on ops.cds_states, and commutation checks
+# the kernel itself, so it must see every state)
+_PROPERTIES: dict[str, tuple[Callable[[Entries, _SweepContext], tuple[bool, str]], int]] = {
+    "parity": (_check_parity, 4),
+    "same-length": (_check_same_length, 2),
+    "rescue": (_check_rescue, 4),
+    "steps": (_check_steps, 4),
+    "cds-same-length": (_check_cds_same_length, 1),
+    "commutation": (_check_commutation, 1),
 }
 
-PROPERTIES = tuple(sorted(_CHECKS))
+PROPERTIES = tuple(sorted(_PROPERTIES))
 
 
 def sweep_records(prop: str, n: int, *, exhaustive: bool = False, samples: int = 0,
@@ -360,13 +338,13 @@ def sweep_records(prop: str, n: int, *, exhaustive: bool = False, samples: int =
     here, before the first record; an error from a check, such as
     BudgetExceededError, comes from the iterator, after the records before
     it."""
-    if prop not in _CHECKS:
+    if prop not in _PROPERTIES:
         raise ValueError(f"unknown property {prop!r}; known: {', '.join(PROPERTIES)}")
     if n < 1 or samples < 0:
         raise ValueError(f"a sweep needs n >= 1 and samples >= 0, got n={n}, samples={samples}")
     if exhaustive == bool(samples):
         raise ValueError("choose exactly one of exhaustive or samples")
-    check = _CHECKS[prop]
+    check = _PROPERTIES[prop][0]
     ctx = _SweepContext(prop, n, budget, exhaustive)
     if exhaustive:
         inputs: Iterable[Entries] = all_signed_permutations(n)

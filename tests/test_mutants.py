@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import pytest
 
-from cdsort import analysis, ops, perm, verify
+from cdsort import analysis, games, ops, perm, verify
 from cdsort.perm import all_signed_permutations
 
 from oracles import (
@@ -39,6 +39,9 @@ MUTANTS = [
     # inputs, though the exhaustive sweep shares each position across inputs
     Mutant("ops._cdr_children_bytes", "pos = lo < 0x80", "pos = lo >= 0x80",
            "commutation n=5", 3_600),
+    # the bytes cdr kernel's pointer walk stops one magnitude short, so no
+    # state has a child at the last pointer (n - 1, n)
+    Mutant("ops._cdr_children_bytes", "at[2:n + 1]", "at[2:n]", "commutation n=5", 1_920),
     # the kernel cdr_states hands out drops each state's last child: every
     # input with a pointer fails, all but the 12 fixed points
     Mutant("ops.cdr_states", "_cdr_children_bytes, _decode",
@@ -92,6 +95,9 @@ MUTANTS = [
     # the verdict words swapped
     Mutant("verify.CheckRecord.line", "'PASS' if self.ok else 'FAIL'",
            "'FAIL' if self.ok else 'PASS'", "record lines n=4", 384),
+    # a second space after the ply number
+    Mutant("games.PlyRecord.line", 'f"ply {self.ply} {self.player}',
+           'f"ply {self.ply}  {self.player}', "ply lines n=4", 704),
 ]
 
 
@@ -139,6 +145,16 @@ def _record_lines(n: int) -> int:
                for record in verify.run_sweep("parity", n, exhaustive=True).records)
 
 
+def _ply_lines(n: int) -> int:
+    """Plies of the greedy playout on each input's overlap graph whose line,
+    split on single spaces, is not its five fields."""
+    return sum(record.line().split(" ")
+               != ["ply", str(record.ply), record.player,
+                   f"({record.vertex},{record.vertex + 1})", f"remaining={record.remaining}"]
+               for entries in all_signed_permutations(n)
+               for record in games.playout(games.state_from_permutation(entries)))
+
+
 def _parity(n: int) -> int:
     """Inputs whose parity by rank differs from that of a playout."""
     return sum(analysis.parity(entries) != parity_by_playout(entries)
@@ -154,6 +170,7 @@ CHECKS = {
     "locate n=5": lambda: _locate(5),
     "format n=4": lambda: _format(4),
     "record lines n=4": lambda: _record_lines(4),
+    "ply lines n=4": lambda: _ply_lines(4),
 }
 
 def _mutate(monkeypatch, mutant: Mutant) -> None:

@@ -87,11 +87,13 @@ def test_maps_are_r_cn_and_cnr_and_form_a_klein_four_group(n):
         identity_entries(n))
 
 
-@pytest.mark.parametrize("cnr_only", [False, True])
-def test_orbit_kernels_give_least_images(cnr_only):
+@pytest.mark.parametrize("order", [4, 2, 1])
+def test_orbit_kernels_give_least_images(order):
     for n in range(1, 6):
-        orbits = ops.CdrOrbits(n, cnr_only)
-        assert len(orbits.maps) == (2 if cnr_only else 4)
+        orbits = ops.CdrOrbits(n, order)
+        assert len(orbits.maps) == order
+        if order == 1:
+            assert orbits.states is ops.cdr_states
         for entries in all_signed_permutations(n):
             state, kernel, _ = ops.cdr_states(entries)
             least = min(image(state) for image in orbits.maps)
@@ -99,17 +101,34 @@ def test_orbit_kernels_give_least_images(cnr_only):
             children = list(kernel(state))
             assert list(orbits.children(state)) == [orbits.least(c) for c in children]
             assert orbits.states(entries) == (least, orbits.children, ops.cdr_states(entries)[2])
-            if not cnr_only:
+            if order != 2:
                 low, k = orbits.locate(state)
                 assert low == least
                 assert orbits.maps[k](state) == least and orbits.maps[k](least) == state
                 assert list(orbits.edges(state)) == [orbits.locate(c) for c in children]
+            if order == 1:
+                assert orbits.maps[0](state) is state
+                assert orbits.locate(state) == (state, 0)
+                assert list(orbits.edges(state)) == [(c, 0) for c in children]
 
 
-def test_orbits_need_bytes_states():
-    for n in (0, 128):
-        with pytest.raises(ValueError, match="1 <= n <= 127"):
-            ops.CdrOrbits(n)
+@pytest.mark.parametrize("n", [128, 200])
+@pytest.mark.parametrize("order", [4, 2, 1])
+def test_tuple_states_give_the_identity_alone(n, order):
+    orbits = ops.CdrOrbits(n, order)
+    assert len(orbits.maps) == 1 and orbits.states is ops.cdr_states
+    entries = (-1,) + identity_entries(n)[1:]
+    state, kernel, _ = orbits.states(entries)
+    assert state == entries and orbits.maps[0](state) is state
+    assert orbits.locate(state) == (state, 0)
+    assert list(orbits.edges(state)) == [(identity_entries(n), 0)]
+    assert list(orbits.edges(state)) == [(c, 0) for c in kernel(state)]
+
+
+@pytest.mark.parametrize("n, order", [(0, 4), (-1, 1), (5, 0), (5, 3), (200, 8)])
+def test_orbits_need_n_at_least_1_and_order_1_2_or_4(n, order):
+    with pytest.raises(ValueError, match="n >= 1 and order 1, 2 or 4"):
+        ops.CdrOrbits(n, order)
 
 
 @pytest.mark.parametrize("prop", ["parity", "same-length", "rescue", "steps", "cds-same-length"])
@@ -118,8 +137,8 @@ def test_canonical_sweeps_give_the_plain_records(prop, n):
     assert run_sweep(prop, n, exhaustive=True).records == tuple(plain_sweep_records(prop, n))
 
 
-def canonical_states(n: int, cnr_only: bool) -> int:
-    least = ops.CdrOrbits(n, cnr_only).least
+def canonical_states(n: int, order: int) -> int:
+    least = ops.CdrOrbits(n, order).least
     return len({least(ops.cdr_states(entries)[0]) for entries in all_signed_permutations(n)})
 
 
@@ -131,7 +150,7 @@ def canonical_states(n: int, cnr_only: bool) -> int:
     ("same-length", 6, 23_232),
 ])
 def test_canonical_sweeps_spend_one_unit_per_canonical_state(prop, n, boundary):
-    assert canonical_states(n, cnr_only=prop == "same-length") == boundary
+    assert canonical_states(n, order=2 if prop == "same-length" else 4) == boundary
     result = run_sweep(prop, n, exhaustive=True, budget=boundary)
     assert (result.cases, result.failures) == (2 ** n * math.factorial(n), 0)
     with pytest.raises(BudgetExceededError):

@@ -1,10 +1,16 @@
-"""No module of the package reads another module's private names.
+"""No module of the package reads another module's private names, and only
+ops decides where its bytes states end.
 
 Each src/cdsort/*.py is parsed with ast.  A read of ``<alias>._name``, where
 the alias names a package module (``from . import ops``, ``from . import
 graph as graphmod``), and an import ``from .mod import _name`` are private
 reads.  Attributes of classes and instances, such as SignedPermutation._of,
-are out of scope, and so are dunder names."""
+are out of scope, and so are dunder names.
+
+A cdr state is bytes up to n = 127 entries and the entries tuple from
+n = 128 on; ops.cdr_states and ops.CdrOrbits decide which, so a comparison
+with the literal 127 or 128 (0x80) in any other module restates that
+threshold."""
 import ast
 from pathlib import Path
 
@@ -60,3 +66,39 @@ def test_the_guard_sees_both_forms_of_private_read(tmp_path):
         "random._inst",
     ]))
     assert private_reads(source) == ["mod.py:3", "mod.py:5", "mod.py:6", "mod.py:7"]
+
+
+BYTES_THRESHOLDS = {127, 128}
+
+
+def bytes_thresholds(path: Path) -> list[str]:
+    """``<file>:<line>`` of each comparison with the literal 127 or 128 in
+    one file, in line order."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                   and any(isinstance(operand, ast.Constant) and type(operand.value) is int
+                           and operand.value in BYTES_THRESHOLDS
+                           for operand in (node.left, *node.comparators)))
+    return [f"{path.name}:{line}" for line in found]
+
+
+def test_only_ops_compares_with_the_bytes_state_threshold():
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "ops.py"
+             for hit in bytes_thresholds(path)]
+    assert found == []
+    assert bytes_thresholds(SRC / "ops.py") != []
+
+
+def test_the_guard_sees_each_form_of_the_threshold(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("\n".join([
+        "n <= 127",
+        "0x80 > n",
+        "0 < n < 128",
+        "n == 0x7F",
+        "n < 129",
+        "x = 128",
+        "range(0x80)",
+        "n < 127.0",
+    ]))
+    assert bytes_thresholds(source) == ["mod.py:1", "mod.py:2", "mod.py:3", "mod.py:4"]

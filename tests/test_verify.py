@@ -64,6 +64,21 @@ def test_plain_sweeps_spend_one_unit_per_state(prop, n, inputs, boundary):
         run_sweep(prop, n, budget=boundary - 1, **inputs)
 
 
+EXHAUSTIVE_ORDERS = {"parity": 4, "same-length": 2, "rescue": 4, "steps": 4,
+                     "cds-same-length": 1, "commutation": 1}
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+@pytest.mark.parametrize("n", [5, 127, 128])
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_each_sweep_folds_over_its_rows_order(prop, n, exhaustive):
+    # the table's order when exhaustive on bytes states, else the identity alone
+    group = verify._SweepContext(prop, n, 1, exhaustive).group
+    expected = EXHAUSTIVE_ORDERS[prop] if exhaustive and n < 128 else 1
+    assert len(group.maps) == expected
+    assert (group.states is ops.cdr_states) == (expected == 1)
+
+
 def test_record_and_summary_format():
     result = run_sweep("parity", 3, exhaustive=True)
     line = result.records[0].line()
