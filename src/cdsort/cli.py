@@ -250,13 +250,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, NotApplicableError, RecursionError, MemoryError,
             analysis.BudgetExceededError, analysis.TheoremViolationError) as exc:
-        # verify's sweeps recurse once per move of a run, over the
-        # ops.CdrOrbits group each sweep takes (the identity alone in sample
-        # mode): rescue and steps in verify's fixed-point fold, parity,
-        # same-length and cds-same-length in analysis.fold; no other command
-        # recurses per move.  MemoryError is a last resort, raised when an
-        # allocation fails, as under `ulimit -v`; a process the kernel kills
-        # for want of memory cannot catch anything.  Its str() is empty.
+        # verify's folds recurse once per move of a run, so a long enough
+        # run raises RecursionError; no other command recurses per move.
+        # MemoryError is a last resort, raised when an allocation fails, as
+        # under `ulimit -v`; a process the kernel kills for want of memory
+        # cannot catch anything.  Its str() is empty.
         if isinstance(exc, RecursionError):
             message = "cdr runs from this input are too long for the exhaustive search"
         elif isinstance(exc, MemoryError):

@@ -25,14 +25,8 @@ The parity, same-length, rescue and steps sweeps fold one state per orbit
 of a group of the symmetries of the cdr move graph, an ops.CdrOrbits, the
 least of its images, and spend one unit of the budget per canonical state:
 their records are the plain fold's.  One table, _PROPERTIES, gives each
-property its check and the group's order in an exhaustive sweep: all four
-maps for parity, rescue and steps (about a quarter of the states), the
-identity and CNR, the maps that fix the identity, for same-length (about
-half), and the identity alone, one state per signed permutation, for
-cds-same-length (which folds on ops.cds_states) and commutation.  Sample
-mode takes the identity alone, and on tuple states ops gives the identity
-alone at every order; rescue and steps run one fixed-point fold in every
-mode.
+property its check and the order of the group its sweep folds over, and
+says why; rescue and steps run one fixed-point fold in every mode.
 
 Properties:
 
@@ -112,15 +106,13 @@ class _SweepContext:
     checks one property, which folds one way.
 
     The parity, same-length, rescue and steps sweeps fold over the canonical
-    states of ``group``: the ops.CdrOrbits of the order _PROPERTIES gives
-    the property when exhaustive, and of order 1, the identity alone, in
-    sample mode, where canonicalising each input costs more than the few
-    states the inputs share save.  They spend one unit per canonical state,
-    and their records are those of the plain fold.  cds-same-length folds on
-    ops.cds_states.  ``targets[k]`` is the identity's state, taken by the
-    k-th map of ``group``.  The commutation sweep folds nothing: it spends
-    one unit per overlap-graph position it builds and, exhaustive, keeps
-    each state's in the memo, one object per distinct position."""
+    states of ``group``, the ops.CdrOrbits of the order _PROPERTIES says.
+    They spend one unit per canonical state, and their records are those of
+    the plain fold.  cds-same-length folds on ops.cds_states.
+    ``targets[k]`` is the identity's state, taken by the k-th map of
+    ``group``.  The commutation sweep folds nothing: it spends one unit per
+    overlap-graph position it builds and, exhaustive, keeps each state's in
+    the memo, one object per distinct position."""
 
     def __init__(self, prop: str, n: int, budget: int, exhaustive: bool):
         self.tracker = Tracker(budget)
@@ -315,9 +307,14 @@ def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]
 
 
 # each property's check, and the order of the ops.CdrOrbits group its
-# exhaustive sweep folds over: 1, the identity alone, for the sweeps that fold
-# plainly (cds-same-length's fold is on ops.cds_states, and commutation checks
-# the kernel itself, so it must see every state)
+# exhaustive sweep folds over: 4, all four maps, for parity, rescue and steps
+# (about a quarter of the states); 2, the identity and CNR, the maps that fix
+# the identity, for same-length (about half); and 1, the identity alone, one
+# state per signed permutation, for the sweeps that fold plainly
+# (cds-same-length's fold is on ops.cds_states, and commutation checks the
+# kernel itself, so it must see every state).  Sample mode takes order 1:
+# canonicalising each input costs more than the few states sampled inputs
+# share save.  On tuple states ops gives order 1 whatever order is asked.
 _PROPERTIES: dict[str, tuple[Callable[[Entries, _SweepContext], tuple[bool, str]], int]] = {
     "parity": (_check_parity, 4),
     "same-length": (_check_same_length, 2),

@@ -227,10 +227,8 @@ def test_verify_commutation_spends_its_budget(capsys):
 
 def _sweeps():
     for prop in verify.PROPERTIES:
-        for n in range(1, 7):
-            marks = [pytest.mark.slow] if n == 6 else []
-            yield pytest.param(prop, n, {"exhaustive": True}, marks=marks,
-                               id=f"{prop}-{n}-exhaustive")
+        for n in range(1, 6):
+            yield pytest.param(prop, n, {"exhaustive": True}, id=f"{prop}-{n}-exhaustive")
         yield pytest.param(prop, 9, {"samples": 20, "seed": 5}, id=f"{prop}-9-samples")
 
 

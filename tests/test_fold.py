@@ -323,6 +323,7 @@ def test_walk_queries_match_fold(entries, budget):
 # counts they replaced (tests/oracles.py keeps those verbatim)
 
 
+@pytest.mark.slow
 def test_run_counts_match_dict_fold_exhaustively():
     for n in range(1, 7):
         for entries in all_signed_permutations(n):

@@ -287,6 +287,7 @@ def test_single_vertex_maximality_exhaustive_small():
             _maximality_matches_neighborhood(g)
 
 
+@pytest.mark.slow
 def test_single_vertex_maximality_exhaustive_n7():
     visited = 0
     for visited, g in enumerate(graphs_of_all(7), 1):

@@ -6,7 +6,8 @@ replacement, the check that must fail on the mutant, and the check's exact
 failure count on it: every check here is deterministic.  The test execs each
 mutant in its module's namespace, monkeypatches it in, runs the row's check
 and names every mutant that survives or fails a different number of times.
-A fast path adds its row in the change that adds it.
+A fast path adds its row in the change that adds it, and a row replaces any
+ad-hoc test of the same fault.
 """
 import importlib
 import inspect
@@ -92,6 +93,10 @@ MUTANTS = [
     # the subject template without the space after each comma
     Mutant("perm.format_entries", '"%s, " * (len(entries) - 1)', '"%s," * (len(entries) - 1)',
            "format n=4", 384),
+    # the verdict cache never hits, so each record builds its own detail: all
+    # but the first record of each of the 7 distinct details
+    Mutant("verify._SweepContext.verdict", "hit = self.verdicts.get(key)", "hit = None",
+           "shared details n=5", 3_833),
     # the verdict words swapped
     Mutant("verify.CheckRecord.line", "'PASS' if self.ok else 'FAIL'",
            "'FAIL' if self.ok else 'PASS'", "record lines n=4", 384),
@@ -145,6 +150,14 @@ def _record_lines(n: int) -> int:
                for record in verify.run_sweep("parity", n, exhaustive=True).records)
 
 
+def _shared_details(n: int) -> int:
+    """Records of the exhaustive parity sweep whose detail is not the first
+    string seen with its text."""
+    first: dict = {}
+    return sum(first.setdefault(record.detail, record.detail) is not record.detail
+               for record in verify.run_sweep("parity", n, exhaustive=True).records)
+
+
 def _ply_lines(n: int) -> int:
     """Plies of the greedy playout on each input's overlap graph whose line,
     split on single spaces, is not its five fields."""
@@ -170,6 +183,7 @@ CHECKS = {
     "locate n=5": lambda: _locate(5),
     "format n=4": lambda: _format(4),
     "record lines n=4": lambda: _record_lines(4),
+    "shared details n=5": lambda: _shared_details(5),
     "ply lines n=4": lambda: _ply_lines(4),
 }
 
