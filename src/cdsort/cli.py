@@ -118,8 +118,7 @@ def cmd_verify(args) -> int:
         seed=args.seed, budget=args.budget,
     )
     mode, seed = ("exhaustive", None) if args.exhaustive else ("samples", args.seed)
-    print(f"# sweep property={args.property} n={args.n} mode={mode} "
-          f"seed={'-' if seed is None else seed} budget={args.budget}")
+    print(verify.header_line(args.property, args.n, mode, seed, args.budget))
     write = sys.stdout.write
     cases = failures = 0
     for record in records:

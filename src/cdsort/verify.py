@@ -1,11 +1,15 @@
 """Bulk verification sweeps over signed permutations.
 
-Each sweep checks one structural property on many inputs and emits one record
-per input plus a summary, as diff-stable text:
+Each sweep checks one structural property on many inputs and emits a header,
+one record per input and a summary, as diff-stable text:
 
+    header  := "# sweep property=<p> n=<n> mode=<exhaustive|samples> "
+               "seed=<s> budget=<b>"
     record  := <property> TAB <PASS|FAIL> TAB <permutation> TAB <detail>
     summary := "# summary property=<p> n=<n> mode=<exhaustive|samples> "
                "cases=<c> failures=<f> seed=<s>"
+
+An exhaustive sweep has no seed, written "-".
 
 Exhaustive mode visits all 2^n * n! signed permutations of length n in a fixed
 order.  Sample mode draws permutations of length n uniformly at random from a
@@ -92,12 +96,25 @@ class SweepResult:
         return summary_line(self.prop, self.n, self.mode, self.seed, self.cases, self.failures)
 
 
+def header_line(prop: str, n: int, mode: str, seed: int | None, budget: int) -> str:
+    """The opening line of a sweep's text, from its arguments.
+
+    >>> header_line("parity", 3, "exhaustive", None, 10_000_000)
+    '# sweep property=parity n=3 mode=exhaustive seed=- budget=10000000'
+    """
+    return f"# sweep property={prop} n={n} mode={mode} seed={_seed_text(seed)} budget={budget}"
+
+
 def summary_line(prop: str, n: int, mode: str, seed: int | None, cases: int,
                  failures: int) -> str:
     """The closing line of a sweep's text, from its counts."""
-    seed = "-" if seed is None else str(seed)
     return (f"# summary property={prop} n={n} mode={mode} "
-            f"cases={cases} failures={failures} seed={seed}")
+            f"cases={cases} failures={failures} seed={_seed_text(seed)}")
+
+
+def _seed_text(seed: int | None) -> str:
+    """A seed as a sweep's text writes it: "-" for an exhaustive sweep's."""
+    return "-" if seed is None else str(seed)
 
 
 class _SweepContext:

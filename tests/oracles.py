@@ -32,15 +32,14 @@ their rewrites:
   checks the bytes kernel as well as the count packing);
 - all_signed_permutations_by_masks: the exhaustive input generator;
 - format_entries_by_generator: the text form of a permutation;
-- graph_lines_by_bits, to_dot_by_bits: the row writer behind to_text and
-  to_dot, one edge line per bits step;
 - safe_move_by_copies, safe_ranks_by_copies: greedy-safe play with a copy
   of the rows per candidate move;
 - plain_sweep_records and the _check_* functions: the property checks of
   the exhaustive sweeps on the plain fold, one state per signed permutation,
   with each record's detail built per input (the cds check folds
   maximal_length_mask on ops.cds_states, which replaced cds_length_mask;
-  the commutation check is not verbatim: it reads the set oracles above).
+  the commutation check is not verbatim: it reads the set oracles above,
+  through one cache per sweep).
 """
 from __future__ import annotations
 
@@ -613,33 +612,8 @@ def format_entries_by_generator(entries: Sequence[int]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the graph rows written one edge line per bits step, and greedy-safe play
-# with a copy of the rows per candidate move, kept verbatim as they were
-# before rows were written in C and moves played in place
-
-
-def graph_lines_by_bits(g: OrientedGraph, name: str, vertex: tuple[str, str], edge: str,
-                        end: str = "") -> list[str]:
-    """The vertex lines of g, then one line per edge (u, v) with u < v, both
-    in increasing label order.  Each label is formatted once, into name.  A
-    vertex line is vertex[1] (oriented) or vertex[0] (unoriented) with its
-    name; an edge line is edge with u's name, then v's name and end, so a
-    row's edge lines share one prefix."""
-    ori = g._ori
-    names = [name.format(_label(v)) for v in g._labels]
-    lines = [vertex[ori >> i & 1].format(nm) for i, nm in enumerate(names)]
-    for i, row in enumerate(g._rows):
-        above = row >> (i + 1) << (i + 1)
-        if above:
-            prefix = edge.format(names[i])
-            lines += [prefix + names[j] + end for j in bits(above)]
-    return lines
-
-
-def to_dot_by_bits(g: OrientedGraph) -> str:
-    """Graphviz form; oriented vertices get style=filled."""
-    lines = graph_lines_by_bits(g, '"{}"', ("  {};", "  {} [style=filled];"), "  {} -- ", ";")
-    return "\n".join(["graph overlap {", "  node [shape=circle];", *lines, "}\n"])
+# greedy-safe play with a copy of the rows per candidate move, kept verbatim
+# as it was before moves were played in place
 
 
 def safe_move_by_copies(rows: tuple, ori: int) -> tuple[int, tuple[int, ...], int] | None:
@@ -687,12 +661,14 @@ def plain_sweep_records(prop: str, n: int, budget: int = analysis.DEFAULT_BUDGET
              "cds-same-length": _check_cds_same_length,
              "commutation": _check_commutation}[prop]
     ctx = _SweepContext(memo={}, tracker=Tracker(budget),
-                        greedy_cds=functools.cache(ops.greedy_cds_run))
+                        greedy_cds=functools.cache(ops.greedy_cds_run),
+                        graph=functools.cache(overlap_graph_sets))
     return [CheckRecord(prop, format_entries(entries), *check(entries, ctx))
             for entries in all_signed_permutations(n)]
 
 
-# the one memo, budget and greedy-cds cache the plain checks read
+# the one memo, budget, greedy-cds cache and overlap-graph cache the plain
+# checks read
 _SweepContext = SimpleNamespace
 
 
@@ -756,10 +732,12 @@ def _check_cds_same_length(entries: Entries, ctx: _SweepContext) -> tuple[bool, 
 
 def _check_commutation(entries: Entries, ctx: _SweepContext) -> tuple[bool, str]:
     """Not verbatim: the sweep's commutation check on the set oracles, with
-    each child from cdr_step, not from the kernel of ops.cdr_states."""
+    each child from cdr_step, not from the kernel of ops.cdr_states.  Each
+    child is also an input of the sweep, so ctx.graph builds each state's
+    graph once."""
     moves = cdr_moves(entries)
-    g = overlap_graph_sets(entries)
+    g = ctx.graph(entries)
     bad = len(set(moves) ^ g[2])
-    bad += sum(overlap_graph_sets(cdr_step(entries, i)) != gcdr_sets(g, i)
+    bad += sum(ctx.graph(cdr_step(entries, i)) != gcdr_sets(g, i)
                for i in moves if i in g[2])
     return bad == 0, f"pointers={len(moves)} violations={bad}"

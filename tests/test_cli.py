@@ -9,7 +9,7 @@ from cdsort import analysis, games, verify
 from cdsort.cli import main
 from cdsort.graph import gf2_rank, graph_from_text, overlap_masks, to_text
 from cdsort.ops import SortTrace
-from cdsort.perm import fixtures, parse_entries
+from cdsort.perm import parse_entries
 
 from oracles import DEEP
 
@@ -24,21 +24,6 @@ def run_cli(capsys, *argv):
 
 # ---------------------------------------------------------------------------
 # graph
-
-
-@pytest.mark.parametrize(
-    "literal, golden",
-    [
-        ("[1, -5, -2, 4, -3, 6]", "graph_perm6"),
-        ("[-6, 3, -4, 2, 5, -1, 7, 9, 8, 10]", "graph_perm10"),
-    ],
-)
-@pytest.mark.parametrize("fmt", ["dot", "text"])
-def test_graph_matches_goldens(capsys, literal, golden, fmt):
-    code, out, err = run_cli(capsys, "graph", literal, "--format", fmt)
-    assert code == 0 and err == ""
-    suffix = "dot" if fmt == "dot" else "txt"
-    assert out == (GOLDEN / f"{golden}.{suffix}").read_text()
 
 
 def test_graph_of_singleton_is_empty(capsys):
@@ -71,18 +56,6 @@ def test_apply_cds_example(capsys):
     assert out.splitlines()[-1] == "final [3, 4, 8, 1, 5, 2, 6, 7]"
 
 
-def test_apply_cds_prints_the_canonical_pair(capsys):
-    code, out, err = run_cli(
-        capsys, "apply", "[3,6,5,2,4,8,1,7]", "--op", "cds", "--pointers", "6,3"
-    )
-    assert code == 0 and err == ""
-    assert out.splitlines() == [
-        "initial [3, 6, 5, 2, 4, 8, 1, 7]",
-        "step 1 cds (3,4),(6,7) [3, 4, 8, 1, 5, 2, 6, 7]",
-        "final [3, 4, 8, 1, 5, 2, 6, 7]",
-    ]
-
-
 def test_apply_cds_checks_pointers_in_the_given_order(capsys):
     code, out, err = run_cli(capsys, "apply", "[1,2,3,4,5]", "--op", "cds", "--pointers", "9,0")
     assert (code, out, err) == (1, "", "error: pointer 9 out of range 1..4\n")
@@ -105,14 +78,6 @@ def test_apply_argument_validation(capsys):
 # sort
 
 
-def test_sort_search_u_pisces(capsys):
-    code, out, _ = run_cli(capsys, "sort", "--fixture", "u_pisces_1", "--strategy", "search")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[-1] == "status sorted steps=14"
-    assert lines[-2].startswith("final [1, 2, 3,")
-
-
 def test_sort_identity_empty_trace(capsys):
     code, out, _ = run_cli(capsys, "sort", "[1,2,3]")
     assert code == 0
@@ -123,16 +88,6 @@ def test_sort_unsortable(capsys):
     code, out, _ = run_cli(capsys, "sort", "[2,1]")
     assert code == 0
     assert "status not-cdr-sortable" in out
-
-
-def test_sort_indiscriminate_with_cds_footer(capsys):
-    code, out, _ = run_cli(
-        capsys, "sort", "--fixture", "u_pisces_1", "--strategy", "indiscriminate", "--allow-cds"
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert "k=12, m=1, k+2m=14" in lines
-    assert lines[-1] == "status sorted"
 
 
 def test_sort_greedy_safe(capsys):
@@ -457,19 +412,6 @@ def test_out_of_memory_is_an_error_line(capsys, monkeypatch):
 
     monkeypatch.setattr(analysis, "enumerate_cdr_fixed_points", exhausted)
     assert run_cli(capsys, "fixed-points", "[2, 1]") == (1, "", "error: out of memory\n")
-
-
-def test_fixtures_listing(capsys):
-    code, out, _ = run_cli(capsys, "fixtures")
-    assert code == 0
-    lines = out.splitlines()
-    names = [line.split()[0] for line in lines]
-    assert names == sorted(names)
-    expected = {name: str(perm) for name, perm in fixtures().items()}
-    assert len(lines) == len(expected)
-    for line in lines:
-        name, _, rest = line.partition(" ")
-        assert expected[name] == rest
 
 
 def test_parity_command(capsys):

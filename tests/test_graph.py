@@ -24,15 +24,10 @@ from cdsort.graph import (
 from cdsort.ops import NotApplicableError, applicable_cdr_moves, applicable_cds_moves
 from cdsort.perm import all_signed_permutations, random_signed_permutation, sigma, tau
 
-# Hand-enumerated overlap graphs for the worked six- and ten-entry examples
-# (arcs listed by flank rule, edges by strict crossing).
+# The worked six- and ten-entry examples: test_acceptance's criterion 1 checks
+# their overlap graphs against hand-enumerated edges and orientations.
 PERM6 = (1, -5, -2, 4, -3, 6)
-PERM6_EDGES = {(1, 2), (2, 4), (3, 4), (1, 4), (1, 5)}
-PERM6_ORIENTED = {1, 3, 4, 5}
-
 PERM10 = (-6, 3, -4, 2, 5, -1, 7, 9, 8, 10)
-PERM10_EDGES = {(1, 2), (2, 4), (3, 4), (1, 4), (1, 5), (7, 8), (7, 9), (8, 9)}
-PERM10_ORIENTED = {1, 3, 4, 5, 6}
 
 ONOVA = (3, 5, 4, 6, 8, -2, 1, 7)
 ONOVA_EDGES = {(2, 7), (6, 7), (2, 6), (3, 4), (4, 5), (3, 5)}
@@ -52,19 +47,6 @@ def graphs_of_all(n):
 
 # ---------------------------------------------------------------------------
 # construction
-
-
-def test_overlap_graph_six_entry_example():
-    g = build_overlap_graph(PERM6)
-    assert g.vertices == frozenset(range(1, 6))
-    assert g.edges == frozenset(PERM6_EDGES)
-    assert g.oriented == frozenset(PERM6_ORIENTED)
-
-
-def test_overlap_graph_ten_entry_example():
-    g = build_overlap_graph(PERM10)
-    assert g.edges == frozenset(PERM10_EDGES)
-    assert g.oriented == frozenset(PERM10_ORIENTED)
 
 
 def test_overlap_graph_actin_precursor():
@@ -150,14 +132,6 @@ def test_local_complement_empty_and_disjoint_sets():
     assert local_complement(g, {100, 200}) == g
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_local_complement_is_involution(rnd):
-    g = random_oriented_graph(rnd, rnd.randint(1, 10))
-    s = {v for v in g.vertices if rnd.random() < 0.5}
-    assert local_complement(local_complement(g, s), s) == g
-
-
 # ---------------------------------------------------------------------------
 # gcdr
 
@@ -223,20 +197,6 @@ def test_component_report_ten_entry_example():
     }
     assert report.isolated == ((6, True),)
     assert has_unoriented_component(build_overlap_graph(PERM10))
-
-
-def test_component_report_partitions_vertices():
-    for n in (2, 5):
-        for g in graphs_of_all(n):
-            report = component_report(g)
-            parts = [c.vertices for c in report.components] + [{v} for v, _ in report.isolated]
-            union = set()
-            total = 0
-            for part in parts:
-                union |= part
-                total += len(part)
-            assert union == set(g.vertices) and total == len(g.vertices)
-            assert all(len(c.vertices) >= 2 for c in report.components)
 
 
 def test_sigma_graphs_are_isolated_oriented():

@@ -48,7 +48,6 @@ from oracles import (
     playout_length_sets,
     safe_move_by_copies,
     safe_ranks_by_copies,
-    to_dot_by_bits,
     to_dot_edge_list,
     to_text_edge_list,
 )
@@ -152,7 +151,7 @@ def test_to_text_matches_edge_list_version():
         assert to_text(g) == to_text_edge_list(g)
     for g in large_graphs():
         assert to_text(g) == to_text_edge_list(g)
-        assert to_dot(g) == to_dot_by_bits(g)
+        assert to_dot(g) == to_dot_edge_list(g)
 
 
 def test_to_dot_matches_edge_list_version():
@@ -165,7 +164,7 @@ def test_to_dot_matches_edge_list_version():
     rng = random.Random(44)
     for _ in range(500):
         g = random_graph(rng)
-        assert to_dot(g) == to_dot_edge_list(g) == to_dot_by_bits(g)
+        assert to_dot(g) == to_dot_edge_list(g)
 
 
 def test_is_oriented_sequence_matches_gcdr_version():

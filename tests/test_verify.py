@@ -26,8 +26,15 @@ def test_known_properties():
     }
 
 
-@pytest.mark.parametrize("prop", PROPERTIES)
-@pytest.mark.parametrize("n", range(1, 7))
+def _exhaustive_sweeps():
+    for n in range(1, 7):
+        for prop in PROPERTIES:
+            # the plain commutation check at n = 6 takes about 4 s
+            slow = pytest.mark.slow if (prop, n) == ("commutation", 6) else ()
+            yield pytest.param(prop, n, marks=slow, id=f"{n}-{prop}")
+
+
+@pytest.mark.parametrize("prop, n", _exhaustive_sweeps())
 def test_exhaustive_sweeps_give_the_plain_records(prop, n):
     result = run_sweep(prop, n, exhaustive=True)
     assert (result.cases, result.failures) == (2 ** n * math.factorial(n), 0)
@@ -37,10 +44,7 @@ def test_exhaustive_sweeps_give_the_plain_records(prop, n):
         assert type(record) is CheckRecord
         # records with equal details share one string
         assert details.setdefault(record.detail, record.detail) is record.detail
-    # at n = 6 the plain commutation fold takes about eight times as long as
-    # the sweep
-    if prop != "commutation" or n < 6:
-        assert result.records == tuple(plain_sweep_records(prop, n))
+    assert result.records == tuple(plain_sweep_records(prop, n))
 
 
 @pytest.mark.parametrize("prop", PROPERTIES)
