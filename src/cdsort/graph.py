@@ -391,13 +391,6 @@ def try_gcdr(g: OrientedGraph, v: int) -> tuple[OrientedGraph, bool]:
         return g, False
 
 
-def apply_gcdr_sequence(g: OrientedGraph, seq: Iterable[int]) -> OrientedGraph:
-    """Apply gcdr at each vertex in turn (strict)."""
-    for v in seq:
-        g = gcdr(g, v)
-    return g
-
-
 def is_oriented_sequence(g: OrientedGraph, seq: Iterable[int]) -> bool:
     """True when each vertex of seq is oriented at its turn."""
     ranks = ranks_of(g, seq)

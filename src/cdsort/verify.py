@@ -348,16 +348,18 @@ def sweep_records(prop: str, n: int, *, exhaustive: bool = False, samples: int =
                   seed: int = 0, budget: int = DEFAULT_BUDGET) -> Iterator[CheckRecord]:
     """One property sweep's records, in input order, each checked as it is
     asked for.  Exactly one of exhaustive/samples selects the input set;
-    sample mode draws permutations of length n.  The arguments are checked
-    here, before the first record; an error from a check, such as
-    BudgetExceededError, comes from the iterator, after the records before
-    it."""
+    sample mode draws permutations of length n from random.Random(seed), so
+    its seed must be an int.  The arguments are checked here, before the
+    first record; an error from a check, such as BudgetExceededError, comes
+    from the iterator, after the records before it."""
     if prop not in _PROPERTIES:
         raise ValueError(f"unknown property {prop!r}; known: {', '.join(PROPERTIES)}")
     if n < 1 or samples < 0:
         raise ValueError(f"a sweep needs n >= 1 and samples >= 0, got n={n}, samples={samples}")
     if exhaustive == bool(samples):
         raise ValueError("choose exactly one of exhaustive or samples")
+    if samples and not isinstance(seed, int):
+        raise ValueError(f"a sampled sweep needs an int seed, got {seed!r}")
     check = _PROPERTIES[prop][0]
     ctx = _SweepContext(prop, n, budget, exhaustive)
     if exhaustive:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cdsort import analysis, games, verify
+from cdsort import analysis, games
 from cdsort.cli import main
 from cdsort.graph import gf2_rank, graph_from_text, overlap_masks, to_text
 from cdsort.ops import SortTrace
@@ -178,29 +178,6 @@ def test_verify_commutation_spends_its_budget(capsys):
         "commutation\tPASS\t[1, -2, 3, 4, 5]\tpointers=2 violations=0\n"
     )
     assert err == "error: search budget exhausted\n"
-
-
-def _sweeps():
-    for prop in verify.PROPERTIES:
-        for n in range(1, 6):
-            yield pytest.param(prop, n, {"exhaustive": True}, id=f"{prop}-{n}-exhaustive")
-        yield pytest.param(prop, 9, {"samples": 20, "seed": 5}, id=f"{prop}-9-samples")
-
-
-@pytest.mark.parametrize("prop, n, inputs", _sweeps())
-def test_verify_streams_the_bytes_of_run_sweep(capsys, prop, n, inputs):
-    result = verify.run_sweep(prop, n, **inputs)
-    seed = "-" if result.seed is None else result.seed
-    text = "".join(
-        [f"# sweep property={prop} n={n} mode={result.mode} seed={seed} budget=10000000\n"]
-        + [record.line() + "\n" for record in result.records]
-        + [result.summary() + "\n"])
-    if "exhaustive" in inputs:
-        argv = ("--exhaustive",)
-    else:
-        argv = ("--samples", str(inputs["samples"]), "--seed", str(inputs["seed"]))
-    code, out, err = run_cli(capsys, "verify", "--property", prop, "--n", str(n), *argv)
-    assert (code, out, err) == (0, text, "")
 
 
 @pytest.mark.parametrize("prop, finished", [

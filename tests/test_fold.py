@@ -163,10 +163,7 @@ def test_cdr_states_are_bytes_up_to_127_entries(n, state):
     assert enum.by_fixed_point == {SignedPermutation(identity_entries(n)): (1,)}
     assert maximal_sequence_lengths(entries) == Counter({1: 1})
     # the sweeps' entry points: the memo holds states, the result entries;
-    # the fixed-point fold's tables hold states too, so that n = 128 folds
-    # tuple states over the group of the identity alone, exhaustive or not
-    assert len(verify._SweepContext("rescue", n, 1, exhaustive=True).group.maps) == (
-        4 if state is bytes else 1)
+    # the fixed-point fold's tables hold states too
     for query, expected in ((sweep_fixed_points, {identity_entries(n): 0b10}),
                             (analysis.maximal_length_mask, 0b10),
                             (analysis.sorting_length_mask, 0b10)):
@@ -289,9 +286,6 @@ def test_walk_queries_match_fold_exhaustively(expanded):
             expanded.clear()
             assert _listing(enumerate_cdr_fixed_points(entries)) == _listing(expected)
             assert expanded == fold_order
-            assert cdr_sorting_lengths(entries) == _fold_sorting_lengths(expected, n)
-            if n <= 5:
-                assert cds_reachable_fixed_points(entries) == fold_cds_fixed_points(entries)
 
 
 @pytest.mark.parametrize("entries", BUDGET_CASES[1:])

@@ -5,11 +5,12 @@ occurrence list, with no ops kernel: a pointer's two occurrences, their keys,
 cuts and entry signs.  Every kernel must agree with it: _arcs on the keys
 and homogeneity (ops keys are the 1-based occurrence keys minus 2, and a
 key's cut is (key + 1) >> 1), applicable_cds_moves, is_cds_fixed_point,
-_cds_children, _apply_cds and cds_applicable on which pairs apply and what
-they give, and cdr_moves, cdr_step and _cdr_children on the same for cdr
-(_cdr_children lazily, as a generator).  Exhaustive for n <= 6, by
-hypothesis up to n = 60.  The kernel that ops.cdr_states hands out must
-give the same cdr children once decoded, also lazily: exhaustive for
+_cds_children and _apply_cds on which pairs apply and what they give, and
+cdr_moves, cdr_step and _cdr_children on the same for cdr (_cdr_children
+lazily, as a generator).  Exhaustive for n <= 6, by hypothesis up to
+n = 60.  cds_applicable is _apply_cds through apply_cds, and test_ops.py
+ties it to applicable_cds_moves.  The kernel that ops.cdr_states hands out
+must give the same cdr children once decoded, also lazily: exhaustive for
 n <= 6, by hypothesis up to n = 160, across n = 127, the last length it
 stores as bytes, and against _cdr_children at n = 1, 2 and 127, with +-127
 at either end.
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given
 
 from cdsort import ops
-from cdsort.ops import NotApplicableError, cds_applicable, greedy_cds_run
+from cdsort.ops import NotApplicableError, greedy_cds_run
 from cdsort.perm import all_signed_permutations
 
 from oracles import (
@@ -53,7 +54,6 @@ def check_kernels(entries):
     assert ops.is_cds_fixed_point(entries) == (not cds)
     assert list(ops._cds_children(entries)) == list(cds.values())
     for p, q in itertools.combinations(range(1, len(entries)), 2):
-        assert cds_applicable(entries, p, q) == ((p, q) in cds)
         assert applied(ops._apply_cds, entries, p, q) == cds.get((p, q))
 
     cdr = dict(cdr_moves_by_occurrences(entries))

@@ -4,17 +4,18 @@ Over GF(2), gcdr at an oriented vertex is a pivot on M = A + D, the
 adjacency matrix with the orientation flags on its diagonal, so each move
 lowers rank(M) by exactly one.  analysis.parity reads the parity of every
 maximal cdr run off that rank; the path-by-path playout in oracles.py stays
-the reference.
+the reference.  That the sortability witness has length rank(M) follows on
+every n <= 6 input from test_fold.py's graded move graph and
+test_sortability.py's DP oracle.
 """
 import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdsort.analysis import cdr_sortable_search, parity
+from cdsort.analysis import parity
 from cdsort.graph import (
     OrientedGraph,
-    build_overlap_graph,
     component_report,
     gcdr,
     gf2_rank,
@@ -56,17 +57,6 @@ def test_parity_matches_playout_on_larger_permutations(n, rnd):
 
 def test_parity_on_the_deep_input():
     assert parity(DEEP) == parity_by_playout(DEEP)
-
-
-def test_sorting_length_is_the_rank_exhaustive_n6():
-    sortable = 0
-    for n in range(1, 7):
-        for entries in all_signed_permutations(n):
-            found, witness = cdr_sortable_search(entries)
-            if found:
-                sortable += 1
-                assert len(witness) == rank(build_overlap_graph(entries)), entries
-    assert sortable == 16_554
 
 
 def test_path_with_one_oriented_end_has_no_unoriented_component():

@@ -47,13 +47,6 @@ def test_exhaustive_sweeps_give_the_plain_records(prop, n):
     assert result.records == tuple(plain_sweep_records(prop, n))
 
 
-@pytest.mark.parametrize("prop", PROPERTIES)
-def test_sampled_sweeps_pass(prop):
-    result = run_sweep(prop, 7, samples=300, seed=11)
-    assert result.cases == 300
-    assert result.failures == 0
-
-
 def test_sampled_sweeps_are_reproducible():
     a = run_sweep("parity", 6, samples=50, seed=3)
     b = run_sweep("parity", 6, samples=50, seed=3)
@@ -129,6 +122,12 @@ def test_run_sweep_argument_validation():
         run_sweep("parity", 3)
     with pytest.raises(ValueError, match="exactly one"):
         run_sweep("parity", 3, exhaustive=True, samples=10)
+    # a (seed, n, samples) triple reproduces its records only for an int
+    # seed; sweep_records raises when called, before its first record
+    for sweep in (verify.sweep_records, run_sweep):
+        for seed in (None, "5"):
+            with pytest.raises(ValueError, match="int seed"):
+                sweep("parity", 4, samples=3, seed=seed)
 
 
 @pytest.mark.parametrize("prop", PROPERTIES)
@@ -140,7 +139,6 @@ def test_every_sweep_spends_its_budget(prop):
 @pytest.mark.parametrize("n, samples, seed, boundary", [
     # exhaustive, one unit per signed permutation: each is one state
     (5, 0, 0, 2 ** 5 * 120),
-    (6, 0, 0, 2 ** 6 * 720),
     # sampled, one unit for each input and one for each of its children
     (6, 5, 1, 12),
 ])
@@ -169,7 +167,7 @@ def test_commutation_counts_a_missing_child(monkeypatch):
         assert record.detail == f"pointers={pointers} violations={min(pointers, 1)}"
 
 
-@pytest.mark.parametrize("n, positions", [(5, 384), (6, 3_840)])
+@pytest.mark.parametrize("n, positions", [(5, 384)])
 def test_commutation_memo_holds_one_object_per_position(n, positions):
     distinct = {graphmod.overlap_masks(entries) for entries in all_signed_permutations(n)}
     assert len(distinct) == positions
