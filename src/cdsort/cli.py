@@ -15,7 +15,7 @@ import functools
 import sys
 
 from . import analysis, games, verify
-from .graph import build_overlap_graph, graph_from_text, to_dot, to_text
+from .graph import build_overlap_graph, gf2_rank, graph_from_text, masks, to_dot, to_text
 from .ops import NotApplicableError, SortTrace, TraceStep, apply_cdr, apply_cds
 from .perm import PermutationError, SignedPermutation, fixtures
 
@@ -138,16 +138,17 @@ def cmd_game(args) -> int:
     else:
         g = build_overlap_graph(_resolve_perm(args))
     state = games.GameState(g, games.ONE, args.rule)
-    records = games.playout(state)
     winner = games.winner_by_parity(state)
-    parity_word = "odd" if len(records) % 2 else "even"
+    # every playout's length has the parity of the position's rank over GF(2)
+    # (see analysis.parity), so only --trace plays the game out
+    parity_word = "odd" if gf2_rank(*masks(g)) % 2 else "even"
     print(f"winner: {winner} (parity {parity_word})")
     if args.oracle:
         oracle = games.winner_by_minimax(state)
         verdict = "agree" if oracle == winner else "DISAGREE"
         print(f"oracle: {oracle} ({verdict})")
     if args.trace:
-        for record in records:
+        for record in games.playout(state):
             print(record.line())
     return 0
 

@@ -27,6 +27,7 @@ from typing import Sequence
 from . import graph as graphmod
 from .analysis import Tracker
 from .graph import OrientedGraph, build_overlap_graph, gcdr
+from .perm import pointer_label
 
 ONE = "ONE"
 TWO = "TWO"
@@ -142,8 +143,8 @@ class PlyRecord:
     remaining: int  # oriented vertices left after the move
 
     def line(self) -> str:
-        v = self.vertex
-        return f"ply {self.ply} {self.player} ({v},{v + 1}) remaining={self.remaining}"
+        label = pointer_label(self.vertex)
+        return f"ply {self.ply} {self.player} {label} remaining={self.remaining}"
 
 
 def playout(state: GameState, moves: Sequence[int] | None = None) -> tuple[PlyRecord, ...]:

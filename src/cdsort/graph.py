@@ -32,27 +32,12 @@ verify.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
 
 from .ops import NotApplicableError
-from .perm import Entries, as_entries
-
-
-def _label(v: int) -> str:
-    return f"({v},{v + 1})"
-
-
-_LABEL_RE = re.compile(r"\((\d+),(\d+)\)")
-
-
-def _parse_label(text: str) -> int:
-    m = _LABEL_RE.fullmatch(text)
-    if not m or int(m.group(2)) != int(m.group(1)) + 1:
-        raise ValueError(f"bad vertex label {text!r}, expected \"(i,i+1)\"")
-    return int(m.group(1))
+from .perm import Entries, as_entries, parse_pointer_label, pointer_label
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +376,6 @@ def try_gcdr(g: OrientedGraph, v: int) -> tuple[OrientedGraph, bool]:
         return g, False
 
 
-def is_oriented_sequence(g: OrientedGraph, seq: Iterable[int]) -> bool:
-    """True when each vertex of seq is oriented at its turn."""
-    ranks = ranks_of(g, seq)
-    return ranks is not None and play_ranks(g._rows, g._ori, ranks) is not None
-
-
 @dataclass(frozen=True)
 class Component:
     vertices: frozenset[int]
@@ -471,7 +450,7 @@ def _graph_lines(g: OrientedGraph, name: str, vertex: tuple[str, str], edge: str
     each.
     """
     ori = g._ori
-    names = [name.format(_label(v)) for v in g._labels]
+    names = [name.format(pointer_label(v)) for v in g._labels]
     lines = [vertex[ori >> i & 1].format(nm) for i, nm in enumerate(names)]
     for i, row in enumerate(g._rows):
         above = row >> (i + 1)
@@ -523,16 +502,16 @@ def graph_from_text(text: str) -> OrientedGraph:
                 if kind == "edge":
                     u = get(a)
                     if u is None:  # label 0 is a vertex too, so test for None
-                        u = vertex_of[a] = _parse_label(a)
+                        u = vertex_of[a] = parse_pointer_label(a)
                     v = get(b)
                     if v is None:
-                        v = vertex_of[b] = _parse_label(b)
+                        v = vertex_of[b] = parse_pointer_label(b)
                     edges.append((u, v))
                     continue
                 if kind == "vertex" and b in ("oriented", "unoriented"):
                     v = get(a)
                     if v is None:
-                        v = vertex_of[a] = _parse_label(a)
+                        v = vertex_of[a] = parse_pointer_label(a)
                     vertices.add(v)
                     if b == "oriented":
                         oriented.add(v)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Sequence
 
-from .perm import Entries, SignedPermutation, as_entries, format_entries
+from .perm import Entries, SignedPermutation, as_entries, format_entries, pointer_label
 
 Pointer = int                      # pointer (i, i+1) named by its low value i
 CdrMove = Pointer
@@ -93,7 +93,7 @@ def cdr_step(entries: Entries, i: int) -> Entries:
     hi = entries[hi_idx]
     if (lo ^ hi) >= 0:
         raise NotApplicableError(
-            f"cdr at pointer ({i},{i + 1}) needs opposite signs on entries {lo} and {hi}"
+            f"cdr at pointer {pointer_label(i)} needs opposite signs on entries {lo} and {hi}"
         )
     pos = lo > 0
     g1 = lo_idx + pos
@@ -307,11 +307,12 @@ def _apply_cds(entries: Entries, p: int, q: int) -> Entries:
     l1, l2, homog_q = arcs[q - 1]
     if not (k1 < l1 < k2 < l2 or l1 < k1 < l2 < k2):  # the arcs strictly cross
         raise NotApplicableError(
-            f"cds at pointers ({p},{p + 1}),({q},{q + 1}): occurrences do not alternate"
+            f"cds at pointers {pointer_label(p)},{pointer_label(q)}: occurrences do not alternate"
         )
     if not (homog_p and homog_q):
         raise NotApplicableError(
-            f"cds at pointers ({p},{p + 1}),({q},{q + 1}): a pointer sits on opposite-sign entries"
+            f"cds at pointers {pointer_label(p)},{pointer_label(q)}: "
+            "a pointer sits on opposite-sign entries"
         )
     return _swap(entries, arcs[p - 1], arcs[q - 1])
 
@@ -469,10 +470,9 @@ class TraceStep:
 
     def describe_move(self) -> str:
         if self.kind == "cdr":
-            i = self.move
-            return f"({i},{i + 1})"
+            return pointer_label(self.move)
         i, j = self.move
-        return f"({i},{i + 1}),({j},{j + 1})"
+        return f"{pointer_label(i)},{pointer_label(j)}"
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -170,6 +171,31 @@ def pointer_occurrences(entries: Sequence[int]) -> list[PointerOccurrence]:
             occs.append(PointerOccurrence(a - 1, idx, LEFT if sign > 0 else RIGHT, sign, TAIL))
     occs.sort(key=lambda o: o.key)
     return occs
+
+
+def pointer_label(i: int) -> str:
+    """The text form of the pointer with low value i, as graph text, traces
+    and game records write it.
+
+    >>> pointer_label(3)
+    '(3,4)'
+    """
+    return f"({i},{i + 1})"
+
+
+_POINTER_LABEL = re.compile(r"\((\d+),(\d+)\)")
+
+
+def parse_pointer_label(text: str) -> int:
+    """The low value i of the label "(i,i+1)"; ValueError on any other text.
+
+    >>> parse_pointer_label("(3,4)")
+    3
+    """
+    m = _POINTER_LABEL.fullmatch(text)
+    if not m or int(m.group(2)) != int(m.group(1)) + 1:
+        raise ValueError(f"bad vertex label {text!r}, expected \"(i,i+1)\"")
+    return int(m.group(1))
 
 
 def find_adjacencies(entries: Sequence[int]) -> tuple[int, ...]:

@@ -21,7 +21,6 @@ their rewrites:
 - minimax_closure: the game-tree search;
 - to_text_edge_list, graph_from_text_sets, to_dot_edge_list: the text and
   DOT forms;
-- is_oriented_sequence_by_gcdr: the oriented-sequence check;
 - extend_to_total_by_sizes: the total extension, with the recursive
   insertion search it ran on;
 - fold_by_comprehension: the fold;
@@ -64,11 +63,8 @@ from cdsort.graph import (
     OrientedGraph,
     _gcdr_masks,
     _has_unoriented_component,
-    _label,
-    _parse_label,
     bits,
     build_overlap_graph,
-    gcdr,
     gf2_rank,
     overlap_masks,
 )
@@ -80,6 +76,8 @@ from cdsort.perm import (
     as_entries,
     format_entries,
     identity_entries,
+    parse_pointer_label,
+    pointer_label,
     pointer_occurrences,
 )
 from cdsort.verify import CheckRecord
@@ -136,12 +134,12 @@ def crossing(a, b):
     return a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2
 
 
-def cdr_moves_by_occurrences(entries):
-    """(pointer, child) for each pointer whose occurrences sit on
-    opposite-sign entries: the child reverses and negates the entries between
-    the two cuts."""
+def cdr_moves_by_occurrences(entries, pairs):
+    """(pointer, child) for each pointer whose occurrences, the entries'
+    occurrence_pairs, sit on opposite-sign entries: the child reverses and
+    negates the entries between the two cuts."""
     out = []
-    for i, (o1, o2) in enumerate(occurrence_pairs(entries), 1):
+    for i, (o1, o2) in enumerate(pairs, 1):
         if o1.entry_sign != o2.entry_sign:
             g1, g2 = o1.cut, o2.cut
             block = tuple(-v for v in reversed(entries[g1:g2]))
@@ -149,11 +147,11 @@ def cdr_moves_by_occurrences(entries):
     return out
 
 
-def cds_moves_by_occurrences(entries):
-    """((p, q), child) for each pair p < q whose occurrences alternate, each
-    pointer on same-sign entries: the child exchanges the entries between the
-    first two cuts with those between the last two."""
-    pairs = occurrence_pairs(entries)
+def cds_moves_by_occurrences(entries, pairs):
+    """((p, q), child) for each pair p < q whose occurrences, the entries'
+    occurrence_pairs, alternate, each pointer on same-sign entries: the child
+    exchanges the entries between the first two cuts with those between the
+    last two."""
     out = []
     for p, q in itertools.combinations(range(1, len(pairs) + 1), 2):
         a, b = pairs[p - 1], pairs[q - 1]
@@ -177,7 +175,7 @@ def all_maximal_cdr_runs(entries):
 
 
 def all_maximal_cds_runs(entries):
-    moves = cds_moves_by_occurrences(entries)
+    moves = cds_moves_by_occurrences(entries, occurrence_pairs(entries))
     if not moves:
         yield (), entries
         return
@@ -193,7 +191,7 @@ def cdr_children(entries):
 
 def cds_children(entries):
     """The states one cds move away, in canonical move order."""
-    return [child for _, child in cds_moves_by_occurrences(entries)]
+    return [child for _, child in cds_moves_by_occurrences(entries, occurrence_pairs(entries))]
 
 
 def reachable_states(entries, children):
@@ -219,12 +217,6 @@ def parity_by_playout(entries):
         entries = cdr_step(entries, moves[0])
         length += 1
     return "odd" if length % 2 else "even"
-
-
-def cdr_sorting_run_lengths(entries):
-    """Set of lengths of all cdr runs that end at the identity."""
-    target = tuple(range(1, len(entries) + 1))
-    return {len(run) for run, final in all_maximal_cdr_runs(entries) if final == target}
 
 
 def cdr_run_lengths_to(entries, target):
@@ -445,7 +437,7 @@ def to_text_edge_list(g: OrientedGraph) -> str:
     """Line-oriented form: one vertex line then one edge line per element,
     deterministically ordered.  Parsed back by graph_from_text."""
     ori = g._ori
-    name = {v: _label(v) for v in g._labels}
+    name = {v: pointer_label(v) for v in g._labels}
     lines = [
         f"vertex {name[v]} {'oriented' if ori >> i & 1 else 'unoriented'}"
         for i, v in enumerate(g._labels)
@@ -464,7 +456,7 @@ def graph_from_text_sets(text: str) -> OrientedGraph:
     def label(token: str) -> int:
         v = parsed.get(token)
         if v is None:
-            v = parsed[token] = _parse_label(token)
+            v = parsed[token] = parse_pointer_label(token)
         return v
 
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -485,9 +477,9 @@ def graph_from_text_sets(text: str) -> OrientedGraph:
 
 
 # ---------------------------------------------------------------------------
-# DOT through the edge list, the oriented-sequence check through one graph
-# per step, and the total extension over every even insertion size, kept
-# verbatim as they were before the public layer dropped its second paths
+# DOT through the edge list and the total extension over every even
+# insertion size, kept verbatim as they were before the public layer
+# dropped its second paths
 
 
 def to_dot_edge_list(g: OrientedGraph) -> str:
@@ -496,20 +488,11 @@ def to_dot_edge_list(g: OrientedGraph) -> str:
     ori = g._ori
     for i, v in enumerate(g._labels):
         attr = " [style=filled]" if ori >> i & 1 else ""
-        lines.append(f'  "{_label(v)}"{attr};')
+        lines.append(f'  "{pointer_label(v)}"{attr};')
     for u, v in g._edge_list():
-        lines.append(f'  "{_label(u)}" -- "{_label(v)}";')
+        lines.append(f'  "{pointer_label(u)}" -- "{pointer_label(v)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def is_oriented_sequence_by_gcdr(g: OrientedGraph, seq) -> bool:
-    """True when each vertex of seq is oriented at its turn."""
-    for v in seq:
-        if not g.is_oriented(v):
-            return False
-        g = gcdr(g, v)
-    return True
 
 
 def extend_to_total_by_sizes(p, maxseq, budget=analysis.DEFAULT_BUDGET):

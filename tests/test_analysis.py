@@ -378,6 +378,9 @@ def test_classify_sequence():
     assert classify_sequence(PI6, (1, 2)) == "oriented"
     assert classify_sequence(PI6, (1, 3, 4, 2, 5)) == "total"
     assert classify_sequence(PI6, (3,)) == "invalid"
+    # a vertex again after its own move, and a pointer PI6 does not have
+    assert classify_sequence(PI6, (5, 5)) == "invalid"
+    assert classify_sequence(PI6, (6,)) == "invalid"
     assert classify_sequence((1, 2, 3), ()) == "total"
     # terminal with crossing arcs left over: maximal but not total
     assert classify_sequence(GAMMA6, ()) == "maximal"

@@ -47,7 +47,6 @@ from oracles import (
     all_maximal_cdr_runs,
     all_maximal_cds_runs,
     cdr_children,
-    cdr_sorting_run_lengths,
     cds_children,
     fold_by_comprehension,
     fold_cds_fixed_points,
@@ -83,11 +82,12 @@ def test_every_fold_target_matches_brute_force_runs():
             by_end: dict = {}
             for run, end in runs:
                 by_end.setdefault(SignedPermutation(end), set()).add(len(run))
+            sorting = {len(run) for run, end in runs if is_identity(end)}
             enum = enumerate_cdr_fixed_points(entries)
             assert enum.complete
             assert enum.by_fixed_point == {fp: tuple(sorted(ks)) for fp, ks in by_end.items()}
             assert maximal_sequence_lengths(entries) == Counter(len(run) for run, _ in runs)
-            assert cdr_sorting_lengths(entries) == frozenset(cdr_sorting_run_lengths(entries))
+            assert cdr_sorting_lengths(entries) == sorting
             # the sweeps' entry points, on memo tables shared across inputs
             shared = sweep_fixed_points(entries, fp_memo, tracker)
             assert {SignedPermutation(fp): analysis.mask_lengths(mask)
@@ -97,7 +97,7 @@ def test_every_fold_target_matches_brute_force_runs():
             ) == tuple(sorted({len(run) for run, _ in runs}))
             assert analysis.mask_lengths(
                 analysis.sorting_length_mask(entries, sorting_memo, tracker)
-            ) == tuple(sorted(cdr_sorting_run_lengths(entries)))
+            ) == tuple(sorted(sorting))
 
             cds_runs = list(all_maximal_cds_runs(entries))
             assert cds_maximal_lengths(entries) == frozenset(len(run) for run, _ in cds_runs)

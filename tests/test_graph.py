@@ -11,7 +11,6 @@ from cdsort.graph import (
     gcdr,
     graph_from_text,
     has_unoriented_component,
-    is_oriented_sequence,
     is_terminal,
     is_total_terminal,
     local_complement,
@@ -254,14 +253,6 @@ def test_single_vertex_maximality_exhaustive_n7():
         _maximality_matches_neighborhood(g)
     # 645,120 signed permutations, about 14 per distinct graph
     assert visited == 46_080
-
-
-def test_oriented_sequence_replay():
-    g = build_overlap_graph((1, 3, 5, -2, -6, 4))
-    assert is_oriented_sequence(g, (1, 2, 5))
-    assert is_oriented_sequence(g, (5,))
-    assert not is_oriented_sequence(g, (3,))
-    assert not is_oriented_sequence(g, (5, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from cdsort.graph import (
     gcdr,
     graph_from_text,
     has_unoriented_component,
-    is_oriented_sequence,
     local_complement,
     masks,
     move,
@@ -44,7 +43,6 @@ from oracles import (
     neighbors_sets,
     overlap_graph_sets,
     graph_from_text_sets,
-    is_oriented_sequence_by_gcdr,
     playout_length_sets,
     safe_move_by_copies,
     safe_ranks_by_copies,
@@ -165,30 +163,6 @@ def test_to_dot_matches_edge_list_version():
     for _ in range(500):
         g = random_graph(rng)
         assert to_dot(g) == to_dot_edge_list(g)
-
-
-def test_is_oriented_sequence_matches_gcdr_version():
-    # half the sequences are legal plays, some of them with one more vertex,
-    # a non-vertex or a repeat; the rest are random draws with both
-    rng = random.Random(45)
-    answers = []
-    for _ in range(3000):
-        g = random_graph(rng)
-        pool = sorted(g.vertices) + [-1, 0, 10**9 + 1]
-        seq = []
-        if rng.random() < 0.5:
-            h = g
-            while h.oriented and rng.random() < 0.8:
-                seq.append(rng.choice(sorted(h.oriented)))
-                h = gcdr(h, seq[-1])
-            if seq and rng.random() < 0.5:
-                seq.append(rng.choice(pool + seq))
-        else:
-            seq = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
-        answer = is_oriented_sequence(g, seq)
-        assert answer == is_oriented_sequence_by_gcdr(g, seq), (g, seq)
-        answers.append(answer)
-    assert 500 < sum(answers) < 2500
 
 
 def _name(v):

@@ -49,14 +49,14 @@ def check_kernels(entries):
     assert [((k1 + 1) >> 1, (k2 + 1) >> 1) for k1, k2, _ in arcs] == [
         (o1.cut, o2.cut) for o1, o2 in pairs]
 
-    cds = dict(cds_moves_by_occurrences(entries))
+    cds = dict(cds_moves_by_occurrences(entries, pairs))
     assert ops.applicable_cds_moves(entries) == tuple(cds)
     assert ops.is_cds_fixed_point(entries) == (not cds)
     assert list(ops._cds_children(entries)) == list(cds.values())
     for p, q in itertools.combinations(range(1, len(entries)), 2):
         assert applied(ops._apply_cds, entries, p, q) == cds.get((p, q))
 
-    cdr = dict(cdr_moves_by_occurrences(entries))
+    cdr = dict(cdr_moves_by_occurrences(entries, pairs))
     assert ops.cdr_moves(entries) == list(cdr)
     children = ops._cdr_children(entries)
     assert inspect.isgenerator(children)
@@ -90,7 +90,8 @@ def test_kernels_match_occurrences(entries):
 
 @given(signed_perms(61, 160))
 def test_cdr_states_match_occurrences(entries):
-    check_cdr_states(entries, [child for _, child in cdr_moves_by_occurrences(entries)])
+    pairs = occurrence_pairs(entries)
+    check_cdr_states(entries, [child for _, child in cdr_moves_by_occurrences(entries, pairs)])
 
 
 def test_cdr_states_at_the_edges():
@@ -110,7 +111,7 @@ def test_cdr_states_at_the_edges():
 def greedy_run_by_occurrences(entries):
     """The first applicable cds, in canonical order, until none remains."""
     taken = []
-    while moves := cds_moves_by_occurrences(entries):
+    while moves := cds_moves_by_occurrences(entries, occurrence_pairs(entries)):
         pq, entries = moves[0]
         taken.append(pq)
     return entries, len(taken), taken

@@ -48,6 +48,11 @@ MUTANTS = [
     Mutant("ops.cdr_states", "_cdr_children_bytes, _decode",
            "lambda state: list(_cdr_children_bytes(state))[:-1], _decode",
            "commutation n=3", 36),
+    # the same mutant: a missing child counts once, so the 36 failing
+    # records hold 36 violations
+    Mutant("ops.cdr_states", "_cdr_children_bytes, _decode",
+           "lambda state: list(_cdr_children_bytes(state))[:-1], _decode",
+           "commutation violations n=3", 36),
     # the commutation memo shares one position among all states with the
     # same orientation mask
     Mutant("verify._SweepContext.overlap_masks", "self.positions.setdefault(position, position)",
@@ -108,6 +113,12 @@ MUTANTS = [
 
 def _commutation(n: int) -> int:
     return verify.run_sweep("commutation", n, exhaustive=True).failures
+
+
+def _commutation_violations(n: int) -> int:
+    """The violations= counts of the exhaustive commutation records, summed."""
+    return sum(int(record.detail.rpartition("violations=")[2])
+               for record in verify.run_sweep("commutation", n, exhaustive=True).records)
 
 
 def _cds_children(n: int) -> int:
@@ -177,6 +188,7 @@ def _parity(n: int) -> int:
 CHECKS = {
     "commutation n=3": lambda: _commutation(3),
     "commutation n=5": lambda: _commutation(5),
+    "commutation violations n=3": lambda: _commutation_violations(3),
     "cds children n=5": lambda: _cds_children(5),
     "parity n=5": lambda: _parity(5),
     "rescue records n=5": lambda: _rescue_records(5),

@@ -155,18 +155,6 @@ def test_commutation_sweep_detail_counts_pointers():
     assert all(r.detail.startswith("pointers=") for r in result.records)
 
 
-def test_commutation_counts_a_missing_child(monkeypatch):
-    # the sweep checks the kernel the searches run at n = 3, the bytes one
-    children = ops._cdr_children_bytes
-    monkeypatch.setattr(ops, "_cdr_children_bytes", lambda state: list(children(state))[:-1])
-    result = run_sweep("commutation", 3, exhaustive=True)
-    assert result.failures > 0
-    for record in result.records:
-        pointers = int(record.detail.split()[0].removeprefix("pointers="))
-        assert record.ok == (pointers == 0)
-        assert record.detail == f"pointers={pointers} violations={min(pointers, 1)}"
-
-
 @pytest.mark.parametrize("n, positions", [(5, 384)])
 def test_commutation_memo_holds_one_object_per_position(n, positions):
     distinct = {graphmod.overlap_masks(entries) for entries in all_signed_permutations(n)}
